@@ -364,7 +364,7 @@ int main(int argc, char** argv) {
                      bench::Fmt(row.speedup) + "x"});
     rows.push_back(row);
 
-    const PlanCache::Stats stats = engine.plan_cache_stats();
+    const QueryEngine::PlanCacheStats stats = engine.plan_cache_stats();
     if (stats.misses != 1) {
       std::fprintf(stderr, "expected exactly one plan per policy, saw %llu\n",
                    static_cast<unsigned long long>(stats.misses));

@@ -269,7 +269,7 @@ int main() {
   const Result<StreamNext> cancelled = doomed_stream->Next(&chunk);
   std::printf("  stream  -> %s\n", cancelled.status().ToString().c_str());
 
-  const PlanCache::Stats stats = engine.plan_cache_stats();
+  const QueryEngine::PlanCacheStats stats = engine.plan_cache_stats();
   std::printf("\nplan cache: %llu hits, %llu misses, %zu entries\n",
               static_cast<unsigned long long>(stats.hits),
               static_cast<unsigned long long>(stats.misses), stats.entries);

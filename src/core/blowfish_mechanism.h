@@ -52,11 +52,10 @@ class BlowfishMechanism {
   /// immutable and safe to share across concurrent releases.
   struct ReleasePrecompute {
     virtual ~ReleasePrecompute() = default;
-    /// Approximate resident size, used by the engine's byte-budgeted
-    /// transform cache to decide eviction. Concrete precomputes report
-    /// their dominant payload (the transformed-database vectors);
-    /// exactness does not matter, monotonicity with actual footprint
-    /// does.
+    /// Approximate resident size, summed by the engine's transform
+    /// cache stats. Concrete precomputes report their dominant payload
+    /// (the transformed-database vectors); it is an estimate, not an
+    /// accounting.
     virtual size_t ApproxBytes() const { return sizeof(ReleasePrecompute); }
 
     /// Wire-schema name ("tree/1", "grid/1", ...) for snapshot

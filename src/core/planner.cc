@@ -82,29 +82,9 @@ HistogramMechanismPtr InnerFor(const PlanRequest& request) {
   return std::make_shared<LaplaceMechanism>();
 }
 
-Result<Plan> PlanMechanismImpl(PlanRequest request);
-
 }  // namespace
 
 Result<Plan> PlanMechanism(PlanRequest request) {
-  // Footprint model for the byte-budgeted plan cache: every strategy
-  // family holds CSR structures proportional to the edge count (the
-  // policy transform P_G has ~2 nonzeros per edge column) plus
-  // domain-proportional vectors; the per-slab Privelet systems are
-  // also edge-bounded. Constants are deliberately generous — the
-  // cache only needs relative ordering.
-  const size_t domain = request.policy.domain_size();
-  const size_t edges = request.policy.graph.num_edges();
-  Result<Plan> planned = PlanMechanismImpl(std::move(request));
-  if (!planned.ok()) return planned;
-  Plan plan = std::move(planned).ValueOrDie();
-  plan.approx_bytes = 256 + 16 * domain + 48 * edges;
-  return plan;
-}
-
-namespace {
-
-Result<Plan> PlanMechanismImpl(PlanRequest request) {
   if (request.policy.graph.num_edges() == 0) {
     return Status::InvalidArgument("policy graph has no edges");
   }
@@ -227,7 +207,5 @@ Result<Plan> PlanMechanismImpl(PlanRequest request) {
     return plan;
   }
 }
-
-}  // namespace
 
 }  // namespace blowfish

@@ -63,12 +63,6 @@ struct Plan {
   /// the adapter's O(k² · edges) full-histogram release. Shared with
   /// `mechanism` (the adapter), so it lives as long as the plan.
   std::shared_ptr<const GridThetaRangeMechanism> range_mechanism;
-  /// Approximate resident footprint of the plan (mechanism, policy
-  /// transform, per-slab systems), modeled from the policy's domain
-  /// and edge counts at planning time. Consumed by the byte-budgeted
-  /// plan cache to order evictions; an estimate, not an accounting —
-  /// only monotonicity with the real footprint matters.
-  size_t approx_bytes = 0;
   /// Preformatted audit suffix ("policy 'X' via <kind>") filled in by
   /// the serving layer when it caches the plan, so a warm submit's
   /// ledger entry shares one string for the plan's whole lifetime

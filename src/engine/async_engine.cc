@@ -85,12 +85,9 @@ AsyncQueryEngine::~AsyncQueryEngine() {
 
 void AsyncQueryEngine::Classify(Task* task) const {
   task->cold = false;
-  task->cold_key.clear();
   for (const QueryRequest& request : task->requests) {
-    std::string key;
-    if (!engine_.IsWarm(request, &key)) {
+    if (!engine_.IsWarm(request, &task->cold_key)) {
       task->cold = true;
-      task->cold_key = std::move(key);
       break;
     }
   }
@@ -523,7 +520,7 @@ void AsyncQueryEngine::Process(Task* task) {
   }
 }
 
-void AsyncQueryEngine::FinishCold(const std::string& key) {
+void AsyncQueryEngine::FinishCold(uint64_t key) {
   std::vector<TaskPtr> parked;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -6,13 +6,13 @@
 // Two lanes. At submission time each request is classified with
 // QueryEngine::IsWarm():
 //
-//   warm lane   the target snapshot's plan *and* release precompute
-//               are already cached — the submit is noise + answer
-//               only. Workers drain this lane first, so a warm
+//   warm lane   the target snapshot's serving slot (plan + release
+//               precompute) is already built — the submit is noise +
+//               answer only. Workers drain this lane first, so a warm
 //               request's latency is bounded by queue depth, never by
 //               another policy's cold plan.
-//   cold lane   the submit must plan (or transform). Cold tasks are
-//               single-flight per (policy, version, options) plan key:
+//   cold lane   the submit must plan and transform. Cold tasks are
+//               single-flight per (policy, version, options) slot key:
 //               one leader runs the plan; same-key tasks a worker pops
 //               meanwhile are parked without occupying the worker and
 //               re-enqueued (usually into the warm lane) when the
@@ -226,7 +226,7 @@ class AsyncQueryEngine {
     /// Lane the task was accepted into — fixed at enqueue, attributes
     /// counters/latency even if the task later re-enqueues warm.
     bool lane_cold = false;
-    std::string cold_key;  ///< plan-cache key; empty when warm
+    uint64_t cold_key = 0;  ///< IsWarm's slot key; meaningful when cold
     Clock::time_point enqueue_time;
     /// Queue slots currently held (set at enqueue, released at pop; a
     /// resumed stream producer re-enters the queue holding none).
@@ -272,8 +272,8 @@ class AsyncQueryEngine {
     LatencyHistogram* queue_wait = nullptr;
   };
 
-  /// Classifies (outside the queue lock): cold iff any entry's plan
-  /// or precompute is missing; fills `cold_key` from the first cold
+  /// Classifies (outside the queue lock): cold iff any entry's
+  /// serving slot is unbuilt; fills `cold_key` from the first cold
   /// entry.
   void Classify(Task* task) const;
 
@@ -295,7 +295,7 @@ class AsyncQueryEngine {
   void Process(Task* task);
   /// Post-leader bookkeeping: releases the cold key, re-enqueues
   /// parked same-key tasks into their (re-classified) lanes.
-  void FinishCold(const std::string& key);
+  void FinishCold(uint64_t key);
 
   /// How a stream task left the pipeline, for StreamStats.
   enum class StreamOutcome { kCompleted, kCancelled, kFailed };
@@ -349,8 +349,7 @@ class AsyncQueryEngine {
   std::deque<TaskPtr> cold_queue_ GUARDED_BY(mu_);
   /// Cold tasks parked behind an in-flight same-key leader. Their
   /// queue slots stay held (they are queued work, just not runnable).
-  std::unordered_map<std::string, std::vector<TaskPtr>> parked_
-      GUARDED_BY(mu_);
+  std::unordered_map<uint64_t, std::vector<TaskPtr>> parked_ GUARDED_BY(mu_);
   /// Stream producers parked on a full chunk buffer, keyed by task
   /// identity. No queue slots held (the submission was admitted); the
   /// stream's space hook or the shutdown sweep takes them out.
@@ -367,7 +366,7 @@ class AsyncQueryEngine {
     AsyncQueryEngine* engine GUARDED_BY(mu) = nullptr;
   };
   std::shared_ptr<HookGate> hook_gate_;
-  std::unordered_set<std::string> cold_inflight_keys_ GUARDED_BY(mu_);
+  std::unordered_set<uint64_t> cold_inflight_keys_ GUARDED_BY(mu_);
   size_t cold_inflight_ GUARDED_BY(mu_) = 0;
   /// Accepted entries not yet started.
   size_t queued_slots_ GUARDED_BY(mu_) = 0;

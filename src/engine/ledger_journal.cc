@@ -714,28 +714,64 @@ Result<std::unique_ptr<LedgerJournal>> LedgerJournal::Open(
   const bool allow_torn = options.allow_torn_tail;
   std::unique_ptr<LedgerJournal> journal(
       new LedgerJournal(std::move(options), io));
-  std::lock_guard<std::mutex> lock(journal->mu_);
+  // Metrics register outside journal->mu_: a scrape holds the registry
+  // mutex while the gauge callbacks below take journal->mu_ (stats()),
+  // so registering under mu_ would invert that lock order.
+  MetricsRegistry* metrics = journal->options_.metrics;
+  if (metrics != nullptr) {
+    journal->m_appends_ = metrics->counter("engine_journal_appends_total");
+    journal->m_append_failures_ =
+        metrics->counter("engine_journal_append_failures_total");
+    journal->m_fsyncs_ = metrics->counter("engine_journal_fsyncs_total");
+    journal->m_retries_ = metrics->counter("engine_journal_io_retries_total");
+    journal->m_rotations_ =
+        metrics->counter("engine_journal_rotations_total");
+    journal->m_checkpoints_ =
+        metrics->counter("engine_journal_checkpoints_total");
+    journal->m_recovered_records_ =
+        metrics->counter("engine_journal_recovered_records_total");
+  }
+  BF_RETURN_NOT_OK(journal->Recover(std::move(report), allow_torn));
 
+  if (metrics != nullptr) {
+    // The callbacks capture the journal, so they register only once
+    // Open can no longer fail and destroy it.
+    LedgerJournal* j = journal.get();
+    metrics->gauge_callback("engine_journal_active_bytes", [j] {
+      return static_cast<double>(j->stats().active_bytes);
+    });
+    metrics->gauge_callback("engine_journal_segments", [j] {
+      return static_cast<double>(j->stats().segments);
+    });
+    metrics->gauge_callback("engine_journal_unclaimed_recovered", [j] {
+      return static_cast<double>(j->stats().unclaimed_recovered);
+    });
+  }
+  return journal;
+}
+
+Status LedgerJournal::Recover(JournalScanReport report, bool allow_torn) {
+  std::lock_guard<std::mutex> lock(mu_);
   bool removed_torn_segment = false;
   if (report.torn_tail) {
     BF_DCHECK(allow_torn);
-    const std::string path = journal->SegmentPath(report.torn_segment);
+    const std::string path = SegmentPath(report.torn_segment);
     if (report.torn_good_bytes < kHeaderBytes) {
       // Not even a full header survived — the segment holds nothing.
-      BF_RETURN_NOT_OK(io->Remove(path));
+      BF_RETURN_NOT_OK(io_->Remove(path));
       removed_torn_segment = true;
     } else {
-      BF_RETURN_NOT_OK(io->TruncateFile(path, report.torn_good_bytes));
+      BF_RETURN_NOT_OK(io_->TruncateFile(path, report.torn_good_bytes));
     }
-    BF_RETURN_NOT_OK(io->SyncDir(journal->options_.dir));
-    journal->recovered_torn_tail_ = true;
+    BF_RETURN_NOT_OK(io_->SyncDir(options_.dir));
+    recovered_torn_tail_ = true;
   }
 
   uint64_t last_surviving_good_bytes = 0;
   uint64_t last_surviving_start_seq = 0;
   for (const JournalScanReport::Segment& seg : report.segments) {
     if (removed_torn_segment && seg.name == report.torn_segment) continue;
-    journal->segment_names_.push_back(seg.name);
+    segment_names_.push_back(seg.name);
     last_surviving_good_bytes =
         (report.torn_tail && seg.name == report.torn_segment)
             ? report.torn_good_bytes
@@ -743,49 +779,26 @@ Result<std::unique_ptr<LedgerJournal>> LedgerJournal::Open(
     last_surviving_start_seq = seg.start_seq;
   }
 
-  journal->next_seq_ = report.last_seq != 0 ? report.last_seq + 1
-                       : last_surviving_start_seq != 0
-                           ? last_surviving_start_seq
-                           : 1;
-  journal->recovered_ = std::move(report.ledgers);
-  journal->recovered_records_at_open_ = report.records;
+  next_seq_ = report.last_seq != 0          ? report.last_seq + 1
+              : last_surviving_start_seq != 0 ? last_surviving_start_seq
+                                              : 1;
+  recovered_ = std::move(report.ledgers);
+  recovered_records_at_open_ = report.records;
 
-  if (journal->options_.metrics != nullptr) {
-    MetricsRegistry* m = journal->options_.metrics;
-    journal->m_appends_ = m->counter("engine_journal_appends_total");
-    journal->m_append_failures_ =
-        m->counter("engine_journal_append_failures_total");
-    journal->m_fsyncs_ = m->counter("engine_journal_fsyncs_total");
-    journal->m_retries_ = m->counter("engine_journal_io_retries_total");
-    journal->m_rotations_ = m->counter("engine_journal_rotations_total");
-    journal->m_checkpoints_ = m->counter("engine_journal_checkpoints_total");
-    journal->m_recovered_records_ =
-        m->counter("engine_journal_recovered_records_total");
-    LedgerJournal* j = journal.get();
-    m->gauge_callback("engine_journal_active_bytes", [j] {
-      return static_cast<double>(j->stats().active_bytes);
-    });
-    m->gauge_callback("engine_journal_segments", [j] {
-      return static_cast<double>(j->stats().segments);
-    });
-    m->gauge_callback("engine_journal_unclaimed_recovered", [j] {
-      return static_cast<double>(j->stats().unclaimed_recovered);
-    });
-  }
-  journal->m_recovered_records_->Add(report.records);
+  m_recovered_records_->Add(report.records);
 
-  if (journal->segment_names_.empty()) {
-    BF_RETURN_NOT_OK(journal->RotateLocked(journal->next_seq_, false));
+  if (segment_names_.empty()) {
+    BF_RETURN_NOT_OK(RotateLocked(next_seq_, false));
   } else {
-    const std::string& name = journal->segment_names_.back();
+    const std::string& name = segment_names_.back();
     Result<std::unique_ptr<JournalFile>> file =
-        io->OpenAppend(journal->SegmentPath(name));
+        io_->OpenAppend(SegmentPath(name));
     if (!file.ok()) return file.status();
-    journal->active_ = std::move(file).ValueOrDie();
-    journal->active_name_ = name;
-    journal->active_bytes_ = last_surviving_good_bytes;
+    active_ = std::move(file).ValueOrDie();
+    active_name_ = name;
+    active_bytes_ = last_surviving_good_bytes;
   }
-  return journal;
+  return Status::OK();
 }
 
 // -------------------------------------------------------------- append

@@ -393,6 +393,10 @@ class LedgerJournal {
   /// replaces the active segment. `compact` additionally deletes every
   /// prior segment after the swap.
   Status RotateLocked(uint64_t start_seq, bool compact) REQUIRES(mu_);
+  /// Open's recovery step: repairs an allowed torn tail, adopts the
+  /// scanned segments and recovered ledgers, and opens the active
+  /// segment for appends.
+  Status Recover(JournalScanReport report, bool allow_torn) EXCLUDES(mu_);
   /// Frames and durably appends one encoded record; on failure
   /// restores the tail invariant (truncate) or poisons.
   Status AppendFramedLocked(const JournalRecord& record) REQUIRES(mu_);

@@ -177,6 +177,18 @@ std::vector<std::string> PolicyRegistry::Names() const {
   return names;
 }
 
+std::vector<std::shared_ptr<const RegisteredPolicy>> PolicyRegistry::Snapshots()
+    const {
+  std::vector<std::shared_ptr<const RegisteredPolicy>> snapshots;
+  for (const Shard& shard : shards_) {
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
+    for (const auto& [name, slot] : shard.by_name) {
+      snapshots.push_back(shard.slots[slot].entry);
+    }
+  }
+  return snapshots;
+}
+
 size_t PolicyRegistry::size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {

@@ -6,8 +6,10 @@
 // touching the graph again.
 //
 // Entries are immutable once published: Replace() swaps in a new
-// shared_ptr and bumps the version (the plan cache keys on it), so
-// readers holding the old snapshot are never invalidated mid-query.
+// shared_ptr and bumps the version, so readers holding the old
+// snapshot are never invalidated mid-query. Everything derived from a
+// snapshot — its plans and noise-free release transforms — lives in
+// the snapshot's own serving slots and dies with it.
 //
 // Sharding and handles. Entries are partitioned by name hash into
 // independently locked shards (read-mostly shared_mutex each), so
@@ -24,6 +26,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -51,6 +54,59 @@ struct PolicyMetadata {
   bool is_tree = false;  ///< the Theorem 4.3 regime
 };
 
+/// \brief What a submit needs from one planner option of a snapshot:
+/// the plan and its noise-free release precompute g_G(x). Both depend
+/// only on the snapshot (policy graph + data) and the option, so they
+/// are built together on first contact and never change afterwards.
+struct ServingState {
+  Plan plan;
+  /// Null when the plan's mechanism has no precompute split; submits
+  /// then run the whole mechanism on the raw data.
+  std::shared_ptr<const BlowfishMechanism::ReleasePrecompute> precompute;
+};
+
+/// \brief One planner option's lazily built ServingState. Published at
+/// most once and never cleared, so a warm read is one acquire load and
+/// a Replace/Unregister can never serve a stale plan or transform: the
+/// slot dies with its snapshot.
+class ServingSlot {
+ public:
+  ServingSlot() = default;
+  ServingSlot(const ServingSlot&) = delete;
+  ServingSlot& operator=(const ServingSlot&) = delete;
+
+  /// The published state, or null while the slot is cold.
+  const ServingState* get() const {
+    return state_.load(std::memory_order_acquire);
+  }
+
+  /// Returns the published state, running `build` (a callable
+  /// returning Result<ServingState>) when the slot is cold. Single
+  /// flight: cold callers queue on the slot's mutex and find the
+  /// leader's state published. A failed build publishes nothing, so
+  /// the next caller retries. `*built` is true only for a caller that
+  /// ran `build`, successful or not.
+  template <typename Build>
+  Result<const ServingState*> GetOrBuild(const Build& build, bool* built) {
+    *built = false;
+    if (const ServingState* warm = get()) return warm;
+    std::lock_guard<std::mutex> lock(build_mu_);
+    if (const ServingState* warm = get()) return warm;
+    *built = true;
+    Result<ServingState> made = build();
+    if (!made.ok()) return made.status();
+    owned_ =
+        std::make_unique<const ServingState>(std::move(made).ValueOrDie());
+    state_.store(owned_.get(), std::memory_order_release);
+    return owned_.get();
+  }
+
+ private:
+  std::atomic<const ServingState*> state_{nullptr};
+  std::mutex build_mu_;
+  std::unique_ptr<const ServingState> owned_ GUARDED_BY(build_mu_);
+};
+
 /// \brief One published policy: graph + protected data + budget cap.
 struct RegisteredPolicy {
   std::string name;
@@ -60,25 +116,18 @@ struct RegisteredPolicy {
   PolicyMetadata metadata;
   /// Unique across the registry's lifetime (monotonic counter, never
   /// reused even through Unregister+Register under the same name), so
-  /// (name, version) keys — plan cache, budget ledgers — can never
-  /// alias a different entry.
+  /// (name, version) keys — budget ledgers, the async pipeline's cold
+  /// keys — can never alias a different entry.
   uint64_t version = 0;
   /// This version's budget-cap ledger, resolved once at registration
   /// so a warm submit charges the cap without touching the
   /// accountant's id map.
   LedgerHandle ledger;
-  /// Lazily planned execution slots, one per planner option set
-  /// ([0] data-independent, [1] data-dependent). Engine-managed via
-  /// std::atomic_load/atomic_store; a populated slot is what makes a
-  /// warm submit plan-lookup-free. Snapshot-local: a Replace starts
-  /// the new version with empty slots while in-flight readers keep
-  /// the old snapshot's plans.
-  mutable std::shared_ptr<const Plan> plan_slots[2];
-  /// Lazily computed noise-free release precompute per option set,
-  /// engine-managed like `plan_slots` (dies with the snapshot, so
-  /// Replace/Unregister can never serve a stale transform).
-  mutable std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>
-      precompute_slots[2];
+  /// Engine-managed serving state per planner option set ([0]
+  /// data-independent, [1] data-dependent). A Replace starts the new
+  /// version with cold slots while in-flight readers keep the old
+  /// snapshot's state.
+  mutable ServingSlot slots[2];
 };
 
 /// \brief Opaque reference to a registered name. Cheap to copy;
@@ -159,6 +208,9 @@ class PolicyRegistry {
 
   /// Registered names, unordered.
   std::vector<std::string> Names() const;
+
+  /// The current snapshot of every registered name, unordered.
+  std::vector<std::shared_ptr<const RegisteredPolicy>> Snapshots() const;
 
   size_t size() const;
 

@@ -98,8 +98,7 @@ QueryEngine::QueryEngine(EngineOptions options)
       telemetry_(options_.trace_sample_rate, options_.audit_log_capacity,
                  /*trace_ring_capacity=*/256,
                  options_.flight_recorder_capacity,
-                 options_.burn_alert_capacity),
-      plan_cache_(options_.plan_cache_bytes) {
+                 options_.burn_alert_capacity) {
   // Every spend/refusal the accountant decides lands in the audit
   // ring, appended under the charge's shard locks (see telemetry.h
   // for the ordering guarantee that buys).
@@ -195,28 +194,19 @@ QueryEngine::QueryEngine(EngineOptions options)
   // Component levels, read at snapshot time from the stats the
   // components already maintain (no second bookkeeping).
   metrics.gauge_callback("engine_plan_cache_hits", [this] {
-    return static_cast<double>(plan_cache_.stats().hits);
+    return static_cast<double>(plan_hits_.load(std::memory_order_relaxed));
   });
   metrics.gauge_callback("engine_plan_cache_misses", [this] {
-    return static_cast<double>(plan_cache_.stats().misses);
-  });
-  metrics.gauge_callback("engine_plan_cache_evictions", [this] {
-    return static_cast<double>(plan_cache_.stats().evictions);
+    return static_cast<double>(plan_misses_.load(std::memory_order_relaxed));
   });
   metrics.gauge_callback("engine_plan_cache_entries", [this] {
-    return static_cast<double>(plan_cache_.stats().entries);
-  });
-  metrics.gauge_callback("engine_plan_cache_bytes", [this] {
-    return static_cast<double>(plan_cache_.stats().bytes);
+    return static_cast<double>(transform_cache_stats().entries);
   });
   metrics.gauge_callback("engine_transform_cache_entries", [this] {
     return static_cast<double>(transform_cache_stats().entries);
   });
   metrics.gauge_callback("engine_transform_cache_bytes", [this] {
     return static_cast<double>(transform_cache_stats().bytes);
-  });
-  metrics.gauge_callback("engine_transform_cache_evictions", [this] {
-    return static_cast<double>(transform_cache_stats().evictions);
   });
   metrics.gauge_callback("engine_policies", [this] {
     return static_cast<double>(registry_.size());
@@ -497,6 +487,16 @@ void QueryEngine::RestoreFromSnapshot() {
   snapshot_restore_stats_.loaded = true;
   snapshot_restore_stats_.generation = report.generation;
 
+  // Persisted transforms by serving-slot key (version << 1 | option);
+  // each restored plan consumes its own.
+  std::unordered_map<uint64_t, const SnapshotTransform*> transforms;
+  for (const SnapshotTransform& st : image.transforms) {
+    const uint64_t key = (st.version << 1) | (st.data_dependent ? 1u : 0u);
+    if (!transforms.emplace(key, &st).second) {
+      ++snapshot_restore_stats_.items_skipped;  // duplicate section
+    }
+  }
+
   for (const SnapshotPolicy& sp : image.policies) {
     // Structural validation first: a snapshot section decodes under
     // its CRC, but restore still refuses shapes the engine could
@@ -550,13 +550,14 @@ void QueryEngine::RestoreFromSnapshot() {
     Result<std::shared_ptr<const RegisteredPolicy>> entry =
         registry_.Get(sp.registered_name);
     if (!entry.ok()) continue;
+    const RegisteredPolicy& live = *entry.ValueOrDie();
     for (const SnapshotPlanHint& hint : sp.plan_hints) {
       if (hint.slot > 1) {
         ++snapshot_restore_stats_.items_skipped;
         continue;
       }
       PlanRequest plan_request;
-      plan_request.policy = entry.ValueOrDie()->policy;
+      plan_request.policy = live.policy;
       plan_request.prefer_data_dependent = hint.slot == 1;
       if (hint.certified_stretch >= 1) {
         plan_request.certified_stretch = hint.certified_stretch;
@@ -570,60 +571,36 @@ void QueryEngine::RestoreFromSnapshot() {
         ++snapshot_restore_stats_.items_skipped;
         continue;
       }
-      Plan plan = std::move(planned).ValueOrDie();
-      plan.audit_context = std::make_shared<const std::string>(
-          "policy '" + entry.ValueOrDie()->name + "' via " + plan.kind);
-      std::atomic_store_explicit(
-          &entry.ValueOrDie()->plan_slots[hint.slot],
-          std::shared_ptr<const Plan>(
-              std::make_shared<const Plan>(std::move(plan))),
-          std::memory_order_release);
+      ServingState state;
+      state.plan = std::move(planned).ValueOrDie();
+      state.plan.audit_context = std::make_shared<const std::string>(
+          "policy '" + live.name + "' via " + state.plan.kind);
+      const auto persisted = transforms.find((live.version << 1) | hint.slot);
+      if (persisted != transforms.end()) {
+        const SnapshotTransform& st = *persisted->second;
+        state.precompute =
+            state.plan.mechanism->DecodePrecompute(st.family, st.payload);
+        transforms.erase(persisted);
+        if (state.precompute != nullptr) {
+          ++snapshot_restore_stats_.transforms_restored;
+        } else {
+          ++snapshot_restore_stats_.items_skipped;  // family/shape mismatch
+        }
+      }
+      // Not persisted (no precompute split, or not serializable) or not
+      // decodable: rebuild it now, so the restored slot is warm.
+      if (state.precompute == nullptr) {
+        state.precompute = state.plan.mechanism->PrecomputeRelease(live.data);
+      }
+      bool built = false;
+      (void)live.slots[hint.slot].GetOrBuild(
+          [&] { return Result<ServingState>(std::move(state)); }, &built);
       ++snapshot_restore_stats_.plans_restored;
     }
   }
-
-  for (const SnapshotTransform& st : image.transforms) {
-    Result<std::shared_ptr<const RegisteredPolicy>> entry =
-        registry_.Get(st.registered_name);
-    if (!entry.ok() || entry.ValueOrDie()->version != st.version) {
-      ++snapshot_restore_stats_.items_skipped;  // stale or unknown
-      continue;
-    }
-    const size_t slot = st.data_dependent ? 1 : 0;
-    const std::shared_ptr<const Plan> plan = std::atomic_load_explicit(
-        &entry.ValueOrDie()->plan_slots[slot], std::memory_order_acquire);
-    if (plan == nullptr) {
-      ++snapshot_restore_stats_.items_skipped;  // no plan to decode with
-      continue;
-    }
-    PrecomputePtr pre = plan->mechanism->DecodePrecompute(
-        st.family, st.payload);
-    if (pre == nullptr) {
-      ++snapshot_restore_stats_.items_skipped;  // family/shape mismatch
-      continue;
-    }
-    const uint64_t key = (st.version << 1) | (st.data_dependent ? 1u : 0u);
-    PrecomputeShard& shard = precompute_shards_[PrecomputeShardOf(key)];
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    PrecomputeEntry cached;
-    cached.bytes = pre->ApproxBytes();
-    cached.last_used =
-        transform_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-    cached.pre = std::move(pre);
-    const auto [it, inserted] = shard.entries.emplace(key, std::move(cached));
-    if (inserted) {
-      transform_bytes_.fetch_add(it->second.bytes,
-                                 std::memory_order_relaxed);
-      ++snapshot_restore_stats_.transforms_restored;
-    } else {
-      ++snapshot_restore_stats_.items_skipped;  // duplicate section
-    }
-  }
-  // A restored set larger than the configured budget trims to the
-  // budget exactly as live inserts would.
-  if (options_.transform_cache_bytes != 0) {
-    EnforceTransformBudget(~0ull);
-  }
+  // Transforms no restored plan consumed: stale or unknown versions,
+  // or slots whose plan hint was skipped.
+  snapshot_restore_stats_.items_skipped += transforms.size();
 }
 
 Status QueryEngine::WriteSnapshot() {
@@ -631,17 +608,13 @@ Status QueryEngine::WriteSnapshot() {
     return Status::InvalidArgument(
         "engine has no snapshot store (EngineOptions::snapshot_path unset)");
   }
-  // Collect under brief locks (registry snapshots are immutable
-  // shared_ptrs; plan slots are atomics; each transform shard is held
-  // only long enough to copy key -> shared_ptr pairs). Serialization
+  // Collect under brief registry shard locks (snapshots are immutable
+  // shared_ptrs and built serving slots never change). Serialization
   // and file I/O then run with no engine lock held.
   SnapshotImage image;
-  std::unordered_map<uint64_t, std::string> live_versions;
-  for (const std::string& name : registry_.Names()) {
-    Result<std::shared_ptr<const RegisteredPolicy>> lookup =
-        registry_.Get(name);
-    if (!lookup.ok()) continue;  // raced an Unregister; skip
-    const RegisteredPolicy& entry = *lookup.ValueOrDie();
+  for (const std::shared_ptr<const RegisteredPolicy>& snapshot :
+       registry_.Snapshots()) {
+    const RegisteredPolicy& entry = *snapshot;
     SnapshotPolicy sp;
     sp.registered_name = entry.name;
     sp.policy_name = entry.policy.name;
@@ -652,48 +625,31 @@ Status QueryEngine::WriteSnapshot() {
     sp.edges = entry.policy.graph.edges();
     sp.data = entry.data;
     for (size_t slot = 0; slot < 2; ++slot) {
-      const std::shared_ptr<const Plan> plan = std::atomic_load_explicit(
-          &entry.plan_slots[slot], std::memory_order_acquire);
-      if (plan == nullptr) continue;
+      const ServingState* state = entry.slots[slot].get();
+      if (state == nullptr) continue;
       SnapshotPlanHint hint;
       hint.slot = static_cast<uint8_t>(slot);
-      hint.kind = plan->kind;
-      hint.certified_stretch = plan->stretch;
+      hint.kind = state->plan.kind;
+      hint.certified_stretch = state->plan.stretch;
       sp.plan_hints.push_back(std::move(hint));
+      const BlowfishMechanism::ReleasePrecompute* pre =
+          state->precompute.get();
+      if (pre == nullptr) continue;
+      SnapshotTransform st;
+      st.family = std::string(pre->SerialFamily());
+      if (st.family.empty() || !pre->EncodePayload(&st.payload)) {
+        continue;  // family not serializable; it will recompute on use
+      }
+      st.registered_name = entry.name;
+      st.version = entry.version;
+      st.data_dependent = slot == 1;
+      image.transforms.push_back(std::move(st));
     }
-    live_versions.emplace(entry.version, entry.name);
     image.policies.push_back(std::move(sp));
-  }
-
-  std::vector<std::pair<uint64_t, PrecomputePtr>> resident;
-  for (const PrecomputeShard& shard : precompute_shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
-      if (entry.pre != nullptr) resident.emplace_back(key, entry.pre);
-    }
-  }
-  for (const auto& [key, pre] : resident) {
-    const auto live = live_versions.find(key >> 1);
-    if (live == live_versions.end()) continue;  // superseded version
-    SnapshotTransform st;
-    st.family = std::string(pre->SerialFamily());
-    if (st.family.empty() || !pre->EncodePayload(&st.payload)) {
-      continue;  // family not serializable; it will recompute on use
-    }
-    st.registered_name = live->second;
-    st.version = key >> 1;
-    st.data_dependent = (key & 1u) != 0;
-    image.transforms.push_back(std::move(st));
   }
 
   return snapshot::Write(options_.snapshot_path, image,
                          options_.snapshot_keep_generations);
-}
-
-// Spreads precompute keys (consecutive versions) across shards.
-size_t QueryEngine::PrecomputeShardOf(uint64_t key) {
-  return static_cast<size_t>((key * kStreamStep) >> 61) &
-         (kPrecomputeShards - 1);
 }
 
 std::string QueryEngine::SessionLedger(const std::string& session_id) {
@@ -737,12 +693,8 @@ Status QueryEngine::RegisterPolicy(const std::string& name, Policy policy,
       bool hit = false;
       // Best effort: an unplannable policy still registers, and the
       // submit path reports the planning error.
-      Result<std::shared_ptr<const Plan>> plan = GetOrPlan(
-          entry.ValueOrDie(), /*prefer_data_dependent=*/false, &hit);
-      if (plan.ok()) {
-        (void)GetOrPrecompute(*entry.ValueOrDie(), **plan,
-                              /*prefer_data_dependent=*/false);
-      }
+      (void)GetOrPlan(*entry.ValueOrDie(), /*prefer_data_dependent=*/false,
+                      &hit);
     }
   }
   return Status::OK();
@@ -751,9 +703,7 @@ Status QueryEngine::RegisterPolicy(const std::string& name, Policy policy,
 Status QueryEngine::ReplacePolicy(const std::string& name, Policy policy,
                                   Vector data, double epsilon_cap) {
   std::lock_guard<std::mutex> admin(admin_mu_);
-  Result<std::shared_ptr<const RegisteredPolicy>> old_entry =
-      registry_.Get(name);
-  if (!old_entry.ok()) return old_entry.status();
+  BF_RETURN_NOT_OK(registry_.Get(name).status());
   // Fresh data, fresh cap, fresh ledger id — opened before the swap
   // publishes the version, so no submit ever charges a missing
   // ledger. The superseded version's ledger stays open so in-flight
@@ -769,169 +719,18 @@ Status QueryEngine::ReplacePolicy(const std::string& name, Policy policy,
     accountant_.CloseLedger(*ledger).Check();
     return replaced;
   }
-  plan_cache_.Invalidate(name);
-  DropTransformed(*old_entry.ValueOrDie());
   return Status::OK();
 }
 
 Status QueryEngine::UnregisterPolicy(const std::string& name) {
   std::lock_guard<std::mutex> admin(admin_mu_);
-  Result<std::shared_ptr<const RegisteredPolicy>> old_entry =
-      registry_.Get(name);
-  if (!old_entry.ok()) return old_entry.status();
   BF_RETURN_NOT_OK(registry_.Unregister(name));
-  plan_cache_.Invalidate(name);
-  DropTransformed(*old_entry.ValueOrDie());
   accountant_.CloseLedgersWithPrefix(PolicyLedgerPrefix(name));
   return Status::OK();
 }
 
-void QueryEngine::DropTransformed(const RegisteredPolicy& entry) {
-  // Only the snapshot's two option slots can exist (superseded
-  // versions were dropped by the lifecycle op that superseded them),
-  // so eviction addresses exactly their shards. Erasing a gate an
-  // in-flight cold precompute still holds is safe: the straggler
-  // re-checks version currency under the shard lock before caching.
-  const uint64_t base = entry.version << 1;
-  for (uint64_t key : {base, base | 1u}) {
-    PrecomputeShard& shard = precompute_shards_[PrecomputeShardOf(key)];
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    if (auto it = shard.entries.find(key); it != shard.entries.end()) {
-      transform_bytes_.fetch_sub(it->second.bytes,
-                                 std::memory_order_relaxed);
-      shard.entries.erase(it);
-    }
-    shard.gates.erase(key);
-  }
-}
-
-void QueryEngine::EnforceTransformBudget(uint64_t protect_key) {
-  const size_t budget = options_.transform_cache_bytes;
-  // Evict the *globally* least-recently-used entry until the budget
-  // holds, scanning shards one lock at a time (never nested, so
-  // concurrent inserts cannot deadlock; the scan is approximate under
-  // concurrency, exact when quiet). The protected (just-inserted,
-  // presumably hot) entry is spared until everything else is gone,
-  // then evicted itself if it alone breaks the budget.
-  for (const bool allow_protected : {false, true}) {
-    while (transform_bytes_.load(std::memory_order_relaxed) > budget) {
-      size_t victim_shard = kPrecomputeShards;
-      uint64_t victim_key = 0;
-      uint64_t victim_stamp = ~0ull;
-      for (size_t s = 0; s < kPrecomputeShards; ++s) {
-        std::shared_lock<std::shared_mutex> lock(precompute_shards_[s].mu);
-        for (const auto& [entry_key, entry] : precompute_shards_[s].entries) {
-          if (!allow_protected && entry_key == protect_key) continue;
-          if (entry.last_used < victim_stamp) {
-            victim_stamp = entry.last_used;
-            victim_key = entry_key;
-            victim_shard = s;
-          }
-        }
-      }
-      if (victim_shard == kPrecomputeShards) break;  // nothing evictable
-      PrecomputeShard& shard = precompute_shards_[victim_shard];
-      std::unique_lock<std::shared_mutex> lock(shard.mu);
-      auto it = shard.entries.find(victim_key);
-      if (it == shard.entries.end()) continue;  // raced away; rescan
-      transform_bytes_.fetch_sub(it->second.bytes,
-                                 std::memory_order_relaxed);
-      shard.entries.erase(it);
-      transform_evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (transform_bytes_.load(std::memory_order_relaxed) <= budget) return;
-  }
-}
-
-QueryEngine::PrecomputePtr QueryEngine::GetOrPrecompute(
-    const RegisteredPolicy& entry, const Plan& plan,
-    bool prefer_data_dependent) {
-  const uint64_t key =
-      (entry.version << 1) | (prefer_data_dependent ? 1u : 0u);
-  const bool budgeted = options_.transform_cache_bytes != 0;
-  PrecomputeShard& shard = precompute_shards_[PrecomputeShardOf(key)];
-  if (!budgeted) {
-    // Unbounded: recency is meaningless, the probe stays a shared
-    // (concurrent) read — the historical warm path, unchanged.
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    // A cached null is a memoized "mechanism has no precompute
-    // split": the submit falls back to Run() at one map probe.
-    if (it != shard.entries.end()) return it->second.pre;
-  } else {
-    // Budgeted: the hit must stamp recency, which needs the write
-    // lock (still sharded — only same-shard submits contend).
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      it->second.last_used =
-          transform_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-      return it->second.pre;
-    }
-  }
-  // Per-key single-flight: a cold-policy herd must not run the CG
-  // solve once per submitter, and a cold policy must not block
-  // first-touch submits on *other* policies, so the gate is keyed,
-  // not engine-global. Warm submits never reach this point.
-  std::shared_ptr<std::mutex> gate;
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    if (auto it = shard.entries.find(key); it != shard.entries.end()) {
-      return it->second.pre;
-    }
-    std::shared_ptr<std::mutex>& slot = shard.gates[key];
-    if (slot == nullptr) slot = std::make_shared<std::mutex>();
-    gate = slot;
-  }
-  std::lock_guard<std::mutex> flight(*gate);
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) return it->second.pre;
-  }
-  PrecomputePtr pre = plan.mechanism->PrecomputeRelease(entry.data);
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    shard.gates.erase(key);
-    // Cache only while this snapshot is still the registry's current
-    // version: a submit that lost a Replace/Unregister race must not
-    // re-insert an entry DropTransformed just erased (nothing would
-    // ever evict it again). The check and the insert share the shard
-    // lock with DropTransformed, and the lifecycle ops publish the new
-    // version *before* dropping — so either the check fails here, or
-    // the pending drop runs after this insert and erases it.
-    Result<std::shared_ptr<const RegisteredPolicy>> current =
-        registry_.Get(entry.name);
-    if (!current.ok() || current.ValueOrDie()->version != entry.version) {
-      return pre;
-    }
-    PrecomputeEntry cached;
-    // A memoized null ("no precompute split") still occupies a map
-    // slot; charge it a nominal footprint so the accounting stays
-    // monotone.
-    const size_t bytes =
-        pre != nullptr ? pre->ApproxBytes() : sizeof(PrecomputeEntry);
-    cached.bytes = bytes;
-    cached.last_used =
-        transform_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-    cached.pre = pre;
-    // A straggler holding a stale gate can lose the insert to a fresh
-    // leader; counting its bytes anyway would inflate the global
-    // accounting forever (nothing ever subtracts a failed insert).
-    const auto [it, inserted] = shard.entries.emplace(key, std::move(cached));
-    (void)it;
-    if (inserted) {
-      transform_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    }
-  }
-  // Budget enforcement locks shards one at a time, so it must run
-  // outside this shard's lock.
-  if (budgeted) EnforceTransformBudget(key);
-  return pre;
-}
-
 bool QueryEngine::IsWarm(const QueryRequest& request,
-                         std::string* cold_key) const {
+                         uint64_t* cold_key) const {
   Result<std::shared_ptr<const RegisteredPolicy>> lookup =
       request.policy_handle.valid() ? registry_.Get(request.policy_handle)
                                     : registry_.Get(request.policy);
@@ -940,41 +739,32 @@ bool QueryEngine::IsWarm(const QueryRequest& request,
   if (!lookup.ok()) return true;
   const RegisteredPolicy& entry = *lookup.ValueOrDie();
   const size_t slot = request.prefer_data_dependent ? 1 : 0;
-  const bool planned =
-      std::atomic_load_explicit(&entry.plan_slots[slot],
-                                std::memory_order_acquire) != nullptr;
-  bool transformed = false;
-  if (planned) {
-    const uint64_t key = (entry.version << 1) | (slot ? 1u : 0u);
-    const PrecomputeShard& shard = precompute_shards_[PrecomputeShardOf(key)];
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    transformed = shard.entries.find(key) != shard.entries.end();
-  }
-  if (planned && transformed) return true;
-  if (cold_key != nullptr) {
-    *cold_key = PlanCache::MakeKey(entry.name, entry.version,
-                                   request.prefer_data_dependent);
-  }
+  if (entry.slots[slot].get() != nullptr) return true;
+  if (cold_key != nullptr) *cold_key = (entry.version << 1) | slot;
   return false;
 }
 
-size_t QueryEngine::transform_cache_entries() const {
-  size_t total = 0;
-  for (const PrecomputeShard& shard : precompute_shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    total += shard.entries.size();
-  }
-  return total;
+QueryEngine::PlanCacheStats QueryEngine::plan_cache_stats() const {
+  PlanCacheStats stats;
+  stats.hits = plan_hits_.load(std::memory_order_relaxed);
+  stats.misses = plan_misses_.load(std::memory_order_relaxed);
+  stats.entries = transform_cache_stats().entries;
+  return stats;
 }
 
 QueryEngine::TransformCacheStats QueryEngine::transform_cache_stats() const {
   TransformCacheStats stats;
-  for (const PrecomputeShard& shard : precompute_shards_) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    stats.entries += shard.entries.size();
+  for (const std::shared_ptr<const RegisteredPolicy>& entry :
+       registry_.Snapshots()) {
+    for (const ServingSlot& slot : entry->slots) {
+      const ServingState* state = slot.get();
+      if (state == nullptr) continue;
+      ++stats.entries;
+      if (state->precompute != nullptr) {
+        stats.bytes += state->precompute->ApproxBytes();
+      }
+    }
   }
-  stats.bytes = transform_bytes_.load(std::memory_order_relaxed);
-  stats.evictions = transform_evictions_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -1019,59 +809,39 @@ Result<LedgerHandle> QueryEngine::ResolveSession(
   return it->second;
 }
 
-Result<std::shared_ptr<const Plan>> QueryEngine::GetOrPlan(
-    const std::shared_ptr<const RegisteredPolicy>& entry,
-    bool prefer_data_dependent, bool* cache_hit) {
-  // Warm path: the snapshot's own plan slot — no key string, no map.
-  const size_t slot = prefer_data_dependent ? 1 : 0;
-  std::shared_ptr<const Plan> warm = std::atomic_load_explicit(
-      &entry->plan_slots[slot], std::memory_order_acquire);
-  if (warm != nullptr) {
-    plan_cache_.RecordHit();
-    *cache_hit = true;
-    return warm;
-  }
-  const std::string key = PlanCache::MakeKey(entry->name, entry->version,
-                                             prefer_data_dependent);
-  // Single-flight: concurrent misses on one key run the planner once.
-  Result<std::shared_ptr<const Plan>> planned = plan_cache_.GetOrCompute(
-      key,
-      [&]() -> Result<Plan> {
-        Result<Plan> result =
-            PlanMechanism(PlanRequest{entry->policy, prefer_data_dependent});
-        if (!result.ok()) return result;
-        Plan plan = std::move(result).ValueOrDie();
-        // Formatted once per plan; every charge on this plan shares it
-        // (see ChargeTag::context).
-        plan.audit_context = std::make_shared<const std::string>(
-            "policy '" + entry->name + "' via " + plan.kind);
-        return plan;
-      },
-      cache_hit);
-  if (!planned.ok()) return planned;
-  std::atomic_store_explicit(&entry->plan_slots[slot],
-                             std::shared_ptr<const Plan>(*planned),
-                             std::memory_order_release);
-  if (!*cache_hit) {
-    // This cold planning may have lost a Replace/Unregister race: the
-    // lifecycle op bumps the registry version before invalidating, so
-    // if the snapshot is no longer current our insert may have landed
-    // after the sweep and nothing else would ever evict it. The
-    // submit still proceeds with the plan it holds (the versioned
-    // budget charge decides its fate); only the cache entry goes.
-    Result<std::shared_ptr<const RegisteredPolicy>> current =
-        registry_.Get(entry->name);
-    if (!current.ok() || current.ValueOrDie()->version != entry->version) {
-      plan_cache_.Invalidate(entry->name);
-    }
-  }
-  return planned;
+Result<const ServingState*> QueryEngine::GetOrPlan(
+    const RegisteredPolicy& entry, bool prefer_data_dependent,
+    bool* cache_hit) {
+  bool built = false;
+  Result<const ServingState*> state =
+      entry.slots[prefer_data_dependent ? 1 : 0].GetOrBuild(
+          [&]() -> Result<ServingState> {
+            Result<Plan> planned =
+                PlanMechanism(PlanRequest{entry.policy, prefer_data_dependent});
+            if (!planned.ok()) return planned.status();
+            ServingState fresh;
+            fresh.plan = std::move(planned).ValueOrDie();
+            // Formatted once per plan; every charge on this plan shares
+            // it (see ChargeTag::context).
+            fresh.plan.audit_context = std::make_shared<const std::string>(
+                "policy '" + entry.name + "' via " + fresh.plan.kind);
+            // Noise-free, so building it before the charge releases
+            // nothing; null when the mechanism has no precompute split.
+            fresh.precompute =
+                fresh.plan.mechanism->PrecomputeRelease(entry.data);
+            return fresh;
+          },
+          &built);
+  (built ? plan_misses_ : plan_hits_).fetch_add(1, std::memory_order_relaxed);
+  *cache_hit = !built;
+  return state;
 }
 
 QueryResult QueryEngine::Release(const QueryRequest& request,
                                  const RegisteredPolicy& entry,
-                                 const Plan& plan, bool cache_hit,
+                                 const ServingState& state, bool cache_hit,
                                  bool has_ranges) {
+  const Plan& plan = state.plan;
   // Private random stream per submit; immutable plan, caller-side rng.
   const uint64_t stream = submit_counter_.fetch_add(1) + 1;
   // dp-lint: allow(charge-before-noise) Release is a post-admission executor; callers reach it only after Admit's Charge succeeded
@@ -1087,11 +857,9 @@ QueryResult QueryEngine::Release(const QueryRequest& request,
     // and only the queried ranges are reconstructed — O(q·edges),
     // versus the adapter's O(k²·edges) full-histogram detour. The
     // noise-free data transform is shared across submits.
-    const PrecomputePtr pre =
-        GetOrPrecompute(entry, plan, request.prefer_data_dependent);
     const auto* slab =
         dynamic_cast<const GridThetaHistogramAdapter::SlabPrecompute*>(
-            pre.get());
+            state.precompute.get());
     if (slab != nullptr) {
       result.answers = plan.range_mechanism->AnswerRangesOnTransformed(
           *request.ranges, slab->xg, slab->n, request.epsilon, &rng);
@@ -1103,11 +871,10 @@ QueryResult QueryEngine::Release(const QueryRequest& request,
     result.range_fast_path = true;
     result.guarantee = plan.range_mechanism->Guarantee(request.epsilon);
   } else {
-    const PrecomputePtr pre =
-        GetOrPrecompute(entry, plan, request.prefer_data_dependent);
     const Vector estimate =
-        pre != nullptr
-            ? plan.mechanism->RunPrecomputed(*pre, request.epsilon, &rng)
+        state.precompute != nullptr
+            ? plan.mechanism->RunPrecomputed(*state.precompute,
+                                             request.epsilon, &rng)
             : plan.mechanism->Run(entry.data, request.epsilon, &rng);
     // Range workloads on histogram-release plans are answered from x̂
     // with a summed-area table; W is never materialized.
@@ -1123,14 +890,14 @@ QueryResult QueryEngine::Release(const QueryRequest& request,
 namespace {
 
 /// Streams the θ>=2 grid fast path: the core cursor holds this
-/// submit's noisy releases; the shared plan keeps the mechanism (and
-/// so the cursor's back-pointer) alive.
+/// submit's noisy releases; the snapshot keeps its serving slot's
+/// mechanism (and so the cursor's back-pointer) alive.
 class GridStreamCursor : public ChunkCursor {
  public:
-  GridStreamCursor(std::shared_ptr<const Plan> plan,
+  GridStreamCursor(std::shared_ptr<const RegisteredPolicy> entry,
                    std::unique_ptr<GridThetaRangeMechanism::RangeCursor> core,
                    size_t chunk_queries)
-      : plan_(std::move(plan)),
+      : entry_(std::move(entry)),
         core_(std::move(core)),
         chunk_queries_(chunk_queries) {}
 
@@ -1144,7 +911,7 @@ class GridStreamCursor : public ChunkCursor {
   size_t total_answers() const override { return core_->total(); }
 
  private:
-  std::shared_ptr<const Plan> plan_;
+  std::shared_ptr<const RegisteredPolicy> entry_;
   std::unique_ptr<GridThetaRangeMechanism::RangeCursor> core_;
   size_t chunk_queries_;
 };
@@ -1218,7 +985,7 @@ std::unique_ptr<ChunkCursor> QueryEngine::BuildCursor(
     QueryRequest request, const Admission& admission,
     const StreamOptions& options, StreamHeader* header) {
   const RegisteredPolicy& entry = *admission.entry;
-  const Plan& plan = *admission.plan;
+  const Plan& plan = admission.state->plan;
   // Same per-submit private rng stream as Release(): with a fixed
   // seed, the n-th admission draws the n-th stream whether it
   // materializes or streams — the equivalence the stream tests pin.
@@ -1241,11 +1008,9 @@ std::unique_ptr<ChunkCursor> QueryEngine::BuildCursor(
     // runs internally.
     header->range_fast_path = true;
     header->guarantee = plan.range_mechanism->Guarantee(request.epsilon);
-    const PrecomputePtr pre =
-        GetOrPrecompute(entry, plan, request.prefer_data_dependent);
     const auto* slab =
         dynamic_cast<const GridThetaHistogramAdapter::SlabPrecompute*>(
-            pre.get());
+            admission.state->precompute.get());
     std::unique_ptr<GridThetaRangeMechanism::RangeCursor> core =
         slab != nullptr
             ? plan.range_mechanism->BeginRanges(std::move(*request.ranges),
@@ -1257,15 +1022,14 @@ std::unique_ptr<ChunkCursor> QueryEngine::BuildCursor(
                   std::move(*request.ranges),
                   plan.range_mechanism->PrecomputeTransformed(entry.data),
                   Sum(entry.data), request.epsilon, &rng);
-    return std::make_unique<GridStreamCursor>(admission.plan,
+    return std::make_unique<GridStreamCursor>(admission.entry,
                                               std::move(core), chunk_queries);
   }
 
   // Histogram-release paths: the noisy estimate x̂ is the release (and
   // is domain-sized, not workload-sized); the stream avoids
   // materializing the q-sized answer vector.
-  const PrecomputePtr pre =
-      GetOrPrecompute(entry, plan, request.prefer_data_dependent);
+  const auto& pre = admission.state->precompute;
   Vector estimate =
       pre != nullptr
           ? plan.mechanism->RunPrecomputed(*pre, request.epsilon, &rng)
@@ -1373,10 +1137,10 @@ Result<QueryEngine::Admission> QueryEngine::Admit(const QueryRequest& request,
   // only then draw noise: a refused query releases nothing.
   {
     TraceStageTimer timer(trace, TraceStage::kPlan);
-    Result<std::shared_ptr<const Plan>> plan_result = GetOrPlan(
-        admission.entry, request.prefer_data_dependent, &admission.cache_hit);
-    if (!plan_result.ok()) return plan_result.status();
-    admission.plan = std::move(plan_result).ValueOrDie();
+    Result<const ServingState*> state = GetOrPlan(
+        *admission.entry, request.prefer_data_dependent, &admission.cache_hit);
+    if (!state.ok()) return state.status();
+    admission.state = *state;
   }
 
   {
@@ -1385,7 +1149,7 @@ Result<QueryEngine::Admission> QueryEngine::Admit(const QueryRequest& request,
                                      admission.entry->ledger};
     ChargeTag tag;
     tag.workload = *shape.workload_name;
-    tag.context = admission.plan->audit_context;
+    tag.context = admission.state->plan.audit_context;
     const Status charged = accountant_.Charge(ledgers, 2, request.epsilon,
                                               tag, admission.remaining);
     if (!charged.ok()) {
@@ -1434,7 +1198,7 @@ Result<QueryResult> QueryEngine::Submit(const QueryRequest& request,
   QueryResult result;
   {
     TraceStageTimer timer(trace, TraceStage::kRelease);
-    result = Release(request, *admission.entry, *admission.plan,
+    result = Release(request, *admission.entry, *admission.state,
                      admission.cache_hit, admission.has_ranges);
   }
   // Balances observed atomically inside the charge — a ledger closed
@@ -1537,18 +1301,17 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
 
   for (Group& group : groups) {
     bool cache_hit = false;
-    Result<std::shared_ptr<const Plan>> plan_result =
-        GetOrPlan(group.entry, group.prefer_data_dependent, &cache_hit);
-    if (!plan_result.ok()) {
+    Result<const ServingState*> state_result =
+        GetOrPlan(*group.entry, group.prefer_data_dependent, &cache_hit);
+    if (!state_result.ok()) {
       for (size_t i : group.indices) {
-        results[i] = plan_result.status();
-        RecordRequestObs(batch[i], group.entry.get(), plan_result.status(),
+        results[i] = state_result.status();
+        RecordRequestObs(batch[i], group.entry.get(), state_result.status(),
                          0.0, 0, 0);
       }
       continue;
     }
-    const std::shared_ptr<const Plan> plan =
-        std::move(plan_result).ValueOrDie();
+    const ServingState& state = **state_result;
 
     const size_t m = group.indices.size();
     const double epsilon =
@@ -1566,7 +1329,7 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
           "batch[" + std::to_string(m) + "] incl. " + first_name;
       tag.workload = batch_label;
     }
-    tag.context = plan->audit_context;
+    tag.context = state.plan.audit_context;
     tag.parallel_count =
         options.disjoint_domains ? static_cast<uint32_t>(m) : 1;
 
@@ -1599,7 +1362,7 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
     m_eps_charged_->Add(epsilon);
     bool group_charge_recorded = false;
     for (size_t i : group.indices) {
-      QueryResult result = Release(batch[i], *group.entry, *plan, cache_hit,
+      QueryResult result = Release(batch[i], *group.entry, state, cache_hit,
                                    batch[i].ranges.has_value());
       result.session_remaining = remaining[0];
       result.policy_remaining = remaining[1];

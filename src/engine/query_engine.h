@@ -1,9 +1,10 @@
 // The policy-aware query engine: the serving layer above the planner.
 //
 //   PolicyRegistry   named policies + the data they protect + ε caps
-//                    (sharded by name hash; handles skip the hash)
-//   PlanCache        (policy, options) -> shared plan; planner /
-//                    spanner / matrix work runs once per policy
+//                    (sharded by name hash; handles skip the hash);
+//                    each snapshot carries one serving slot per
+//                    planner option holding its plan and noise-free
+//                    release transform, built once on first contact
 //   BudgetAccountant per-policy and per-session ε ledgers (sharded by
 //                    id hash), charged atomically before any noise is
 //                    drawn
@@ -16,12 +17,22 @@
 // submits with zero string construction and zero map hashing: the
 // session handle indexes its accountant shard directly, the policy
 // handle indexes its registry shard, the plan comes from the snapshot's
-// own plan slot, the charge records a structured audit tag (shared
-// context string, no formatting), and the noise-free release
-// precompute (database transform, component totals — for general
-// graphs a conjugate-gradient solve) is cached per (policy, version)
-// in a sharded engine cache. String-id requests still work and pay
-// only one hash per lookup.
+// own serving slot (one atomic load yields both the plan and the
+// noise-free release precompute — database transform, component
+// totals, for general graphs a conjugate-gradient solve), and the
+// charge records a structured audit tag (shared context string, no
+// formatting). String-id requests still work and pay only one hash
+// per lookup.
+//
+// Caching. The paper's transformational equivalence makes every
+// costly serving artifact a function of one snapshot and one planner
+// option: the strategy behind f_G(W) depends only on the policy graph
+// G, the transformed database g_G(x) only on G and the snapshot's
+// data. So both live in the snapshot's ServingSlot (see
+// policy_registry.h) and nowhere else: a cold miss builds them under
+// the slot's own mutex (single flight per (policy, version, option)),
+// and Replace/Unregister need no invalidation — the slots die with
+// the superseded snapshot once its last in-flight reader lets go.
 //
 // Execution dispatch. A dense workload is answered as W x̂ from the
 // plan's full-histogram release. An implicit range workload on a θ>=2
@@ -69,7 +80,6 @@
 #include "common/thread_annotations.h"
 #include "engine/budget_accountant.h"
 #include "engine/obs_server.h"
-#include "engine/plan_cache.h"
 #include "engine/policy_registry.h"
 #include "engine/stream.h"
 #include "engine/telemetry.h"
@@ -93,23 +103,6 @@ struct EngineOptions {
   /// Plan (and precompute the release transform) at registration time
   /// so the first submit is already warm.
   bool warm_plan_cache = false;
-  /// Byte budget for the plan cache (modeled plan footprints; 0 =
-  /// unbounded, the historical behavior). When set, the cache evicts
-  /// least-recently-used plans so resident bytes never exceed the
-  /// budget; evicted plans simply re-plan on next contact. Snapshot
-  /// plan slots are unaffected (at most two plans per live policy,
-  /// dying with the snapshot).
-  size_t plan_cache_bytes = 0;
-  /// Byte budget for the per-(policy, version) noise-free transform
-  /// cache (0 = unbounded). An insert that pushes the global total
-  /// over budget evicts globally least-recently-used entries (shard
-  /// locks taken one at a time), sparing the just-inserted entry
-  /// until the very last resort — so resident bytes return under
-  /// budget before the insert returns, stale idle entries in any
-  /// shard age out, and a hot new transform is never thrashed by cold
-  /// resident ones. Evicted transforms recompute on next contact
-  /// (single-flight, as on first touch).
-  size_t transform_cache_bytes = 0;
 
   // ---- AsyncQueryEngine knobs (ignored by the synchronous engine) ----
 
@@ -213,8 +206,8 @@ struct EngineOptions {
 
   /// Directory of the warm-restart snapshot store. Empty (default)
   /// disables it. Non-empty: construction maps the newest valid
-  /// snapshot generation and pre-populates the registry, the plan
-  /// slots, and the transform cache, so previously-warm requests
+  /// snapshot generation and pre-populates the registry and the
+  /// snapshots' serving slots, so previously-warm requests
   /// readmit without replanning or recomputing — bit-identically,
   /// since transforms round trip as IEEE bit patterns. Strictly
   /// fail-open: a missing or corrupt snapshot means a cold start
@@ -287,7 +280,7 @@ struct BatchOptions {
   bool disjoint_domains = false;
 };
 
-/// \brief Concurrent facade over registry + cache + accountant.
+/// \brief Concurrent facade over registry + accountant.
 class QueryEngine {
  public:
   explicit QueryEngine(EngineOptions options = EngineOptions());
@@ -314,12 +307,12 @@ class QueryEngine {
   /// (stats and tests).
   const LedgerJournal* journal() const { return journal_.get(); }
 
-  /// Serializes the current registry + plan slots + transform cache
-  /// as the next snapshot generation under
+  /// Serializes the current registry and its serving slots (plan
+  /// hints + transforms) as the next snapshot generation under
   /// EngineOptions::snapshot_path (atomic: write-temp + fsync +
   /// rename + directory fsync; a crash mid-write never touches the
-  /// previous generation). State is collected under brief per-shard
-  /// locks; serialization and I/O run with no engine lock held.
+  /// previous generation). State is collected under brief registry
+  /// shard locks; serialization and I/O run with no engine lock held.
   /// kInvalidArgument when no snapshot path is configured.
   Status WriteSnapshot();
 
@@ -330,8 +323,8 @@ class QueryEngine {
     bool loaded = false;          ///< a valid generation was mapped
     uint64_t generation = 0;      ///< its generation number
     size_t policies_restored = 0;
-    size_t plans_restored = 0;       ///< plan slots pre-populated
-    size_t transforms_restored = 0;  ///< precomputes pre-populated
+    size_t plans_restored = 0;       ///< serving slots pre-populated
+    size_t transforms_restored = 0;  ///< precomputes decoded, not rebuilt
     /// Sections present in the snapshot but not restored (stale
     /// version, failed validation, unknown family) — each one is a
     /// fail-open fallback to cold compute, not an error.
@@ -349,8 +342,8 @@ class QueryEngine {
   Status RegisterPolicy(const std::string& name, Policy policy, Vector data,
                         double epsilon_cap);
 
-  /// Swaps data/policy under an existing name: cached plans are
-  /// invalidated and the new entry gets its own fresh ε ledger (new
+  /// Swaps data/policy under an existing name: the new entry starts
+  /// with cold serving slots and its own fresh ε ledger (new
   /// data is a fresh privacy resource). Budget ledgers are keyed by
   /// (name, version), so in-flight submits that snapshotted the old
   /// entry drain against the *old* data's cap — a replace can never
@@ -446,14 +439,14 @@ class QueryEngine {
   Result<std::string> SessionAudit(const std::string& session_id) const;
 
   /// True when submitting `request` now would run no expensive cold
-  /// work: the target snapshot's plan slot *and* its noise-free
-  /// release precompute are already cached. Requests that cannot
+  /// work: the target snapshot's serving slot (plan + noise-free
+  /// release precompute) is already built. Requests that cannot
   /// resolve a policy at all also count as warm — they fail fast
   /// without planning. When the request is cold and `cold_key` is
-  /// non-null, it receives the (policy, version, options) plan-cache
-  /// key, the unit of cold single-flight.
-  bool IsWarm(const QueryRequest& request,
-              std::string* cold_key = nullptr) const;
+  /// non-null, it receives `version << 1 | option`, naming the slot
+  /// that is the unit of cold single-flight (versions are unique
+  /// across the registry, so the key never aliases another policy).
+  bool IsWarm(const QueryRequest& request, uint64_t* cold_key = nullptr) const;
 
   const EngineOptions& options() const { return options_; }
 
@@ -482,29 +475,39 @@ class QueryEngine {
   /// for the on-call, not part of the up/down decision).
   HealthReport Healthz() const;
 
-  PlanCache::Stats plan_cache_stats() const { return plan_cache_.stats(); }
+  /// \brief Plan lookups: one per admission (a batch group counts
+  /// once), so hits + misses == lookups. A miss is a lookup that ran
+  /// the planner (and the release transform), successful or not;
+  /// single-flight followers of a cold build count as hits.
+  struct PlanCacheStats {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    size_t entries = 0;  ///< built serving slots across live snapshots
+  };
+  PlanCacheStats plan_cache_stats() const;
   size_t num_policies() const { return registry_.size(); }
   std::vector<std::string> Names() const { return registry_.Names(); }
-  /// Cached noise-free release precomputes across all shards (tests).
-  size_t transform_cache_entries() const;
+  /// Built serving slots across live snapshots (tests).
+  size_t transform_cache_entries() const {
+    return transform_cache_stats().entries;
+  }
 
-  /// \brief Observability for the byte-budgeted transform cache.
+  /// \brief Resident release transforms, walked from the live
+  /// snapshots' serving slots (superseded snapshots still held by an
+  /// in-flight reader are not counted).
   struct TransformCacheStats {
-    size_t entries = 0;
-    size_t bytes = 0;        ///< Σ ApproxBytes of resident precomputes
-    uint64_t evictions = 0;  ///< LRU removals (0 when unbounded)
+    size_t entries = 0;  ///< built slots, including "no precompute split"
+    size_t bytes = 0;    ///< Σ ApproxBytes of the resident precomputes
   };
   TransformCacheStats transform_cache_stats() const;
 
  private:
-  using PrecomputePtr =
-      std::shared_ptr<const BlowfishMechanism::ReleasePrecompute>;
-
   /// Everything Submit establishes before any noise is drawn: the
-  /// resolved snapshot, the plan, and the already-committed charge.
+  /// resolved snapshot, its serving state, and the already-committed
+  /// charge.
   struct Admission {
     std::shared_ptr<const RegisteredPolicy> entry;
-    std::shared_ptr<const Plan> plan;
+    const ServingState* state = nullptr;  ///< owned by `entry`
     LedgerHandle session_ledger;
     bool cache_hit = false;
     bool has_ranges = false;
@@ -527,12 +530,12 @@ class QueryEngine {
 
   /// Construction-time warm restart: maps the newest valid snapshot
   /// generation and re-registers its policies (claiming their
-  /// persisted versions), replans each recorded plan slot with the
+  /// persisted versions), replans each recorded serving slot with the
   /// certified-stretch hint (skipping the certification BFS), and
-  /// pre-populates the transform cache from the decoded precomputes.
-  /// Every failure is fail-open: the item is skipped and recomputed
-  /// lazily on first contact. Runs before any submit can exist, so it
-  /// touches the shards without contention.
+  /// fills it with the decoded precompute (rebuilding one that did not
+  /// decode). Every failure is fail-open: the item is skipped and
+  /// recomputed lazily on first contact. Runs before any submit can
+  /// exist, so it touches the slots without contention.
   void RestoreFromSnapshot();
 
   /// Draws the submit's noise (its private rng stream) and wraps the
@@ -544,32 +547,21 @@ class QueryEngine {
                                            const StreamOptions& options,
                                            StreamHeader* header);
 
-  /// Per-snapshot plan slot fast path, falling back to the
-  /// single-flight string-keyed cache on cold misses.
-  Result<std::shared_ptr<const Plan>> GetOrPlan(
-      const std::shared_ptr<const RegisteredPolicy>& entry,
-      bool prefer_data_dependent, bool* cache_hit);
-
-  /// Cached noise-free precompute for (entry version, options slot);
-  /// single-flight per key so a cold-policy herd runs the transform
-  /// (a CG solve on general graphs) once. Null if the plan's
-  /// mechanism has no precompute split.
-  PrecomputePtr GetOrPrecompute(const RegisteredPolicy& entry,
-                                const Plan& plan, bool prefer_data_dependent);
-
-  /// Evicts the cached precomputes of one superseded snapshot. The
-  /// cache is sharded by key hash, so eviction addresses exactly the
-  /// shards holding the snapshot's two option slots.
-  void DropTransformed(const RegisteredPolicy& entry);
+  /// The snapshot's serving state for one planner option: one atomic
+  /// load when warm; when cold, plans and precomputes the release
+  /// transform under the slot's single-flight mutex. Counts the
+  /// lookup as a hit or a miss.
+  Result<const ServingState*> GetOrPlan(const RegisteredPolicy& entry,
+                                        bool prefer_data_dependent,
+                                        bool* cache_hit);
 
   /// One release continuing from a charged budget: derives the
   /// submit's private rng stream, dispatches range fast path /
   /// precomputed dense / plain Run.
   QueryResult Release(const QueryRequest& request,
-                      const RegisteredPolicy& entry, const Plan& plan,
-                      bool cache_hit, bool has_ranges);
-
-  static size_t PrecomputeShardOf(uint64_t key);
+                      const RegisteredPolicy& entry,
+                      const ServingState& state, bool cache_hit,
+                      bool has_ranges);
 
   /// The bounded-cardinality tenant label of a session id: the prefix
   /// before the first ':', '/', '#', or '@' — the conventional
@@ -613,8 +605,9 @@ class QueryEngine {
   /// with this status (fail closed — never serve unjournaled charges).
   Status journal_error_;
   PolicyRegistry registry_;
-  PlanCache plan_cache_;
   BudgetAccountant accountant_;
+  std::atomic<uint64_t> plan_hits_{0};
+  std::atomic<uint64_t> plan_misses_{0};
 
   // Hot-path metric handles (registered once in the constructor;
   // updates are relaxed atomics — see MetricsRegistry).
@@ -653,41 +646,6 @@ class QueryEngine {
   /// never dangle it.
   std::unordered_map<uint64_t, std::string> session_tenants_
       GUARDED_BY(sessions_mu_);
-
-  /// Sharded (version << 1 | dd-option) -> precompute cache. Integer
-  /// keys: versions are registry-unique, so no name string is ever
-  /// built. The gates map holds one per-key mutex per in-progress
-  /// cold precompute (single-flight without blocking other policies'
-  /// first touches). When EngineOptions::transform_cache_bytes is
-  /// set, entries carry recency stamps and the inserting shard evicts
-  /// oldest-first until the *global* byte budget holds (see
-  /// EnforceTransformBudgetLocked).
-  static constexpr size_t kPrecomputeShards = 8;
-  struct PrecomputeEntry {
-    PrecomputePtr pre;       ///< may be null: memoized "no split"
-    size_t bytes = 0;        ///< ApproxBytes at insert
-    uint64_t last_used = 0;  ///< recency stamp; used when budgeted
-  };
-  struct PrecomputeShard {
-    mutable std::shared_mutex mu;
-    std::unordered_map<uint64_t, PrecomputeEntry> entries GUARDED_BY(mu);
-    std::unordered_map<uint64_t, std::shared_ptr<std::mutex>> gates
-        GUARDED_BY(mu);
-  };
-  PrecomputeShard precompute_shards_[kPrecomputeShards];
-
-  /// Brings the transform cache back under its global byte budget
-  /// after an insert: repeatedly evicts the globally least-recently-
-  /// used entry (shard locks taken one at a time — never nested, so
-  /// concurrent inserts cannot deadlock). The entry under
-  /// `protect_key` — the one just inserted, presumably hot — is
-  /// spared until everything else is gone, then evicted itself if it
-  /// alone exceeds the budget.
-  void EnforceTransformBudget(uint64_t protect_key);
-
-  std::atomic<uint64_t> transform_clock_{0};
-  std::atomic<size_t> transform_bytes_{0};
-  std::atomic<uint64_t> transform_evictions_{0};
 
   /// Filled once by RestoreFromSnapshot() during construction (no
   /// concurrent access exists yet), read-only afterwards.

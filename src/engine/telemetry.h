@@ -3,7 +3,7 @@
 //
 // The paper's subject is *accounting* — policy-aware ε spent per
 // release — and before this layer the engine could only report it
-// through ad-hoc per-component stats (AsyncStats, PlanCache::Stats,
+// through ad-hoc per-component stats (AsyncStats, plan_cache_stats(),
 // transform_cache_stats()) with no record of which tenant spent which
 // budget when, or where a request's latency went. Three pieces fix
 // that:

@@ -196,8 +196,9 @@ TEST(EngineAsync, ColdPlanDoesNotBlockWarmLane) {
   // A ~100ms spanner certification runs in the cold lane while a warm
   // flood flows: every warm future must resolve while every cold
   // future is still pending, the queued same-key cold requests must
-  // coalesce behind the one in-flight plan (PlanCache sees exactly
-  // one miss for the policy), and parked followers must resolve too.
+  // coalesce behind the one in-flight plan (the engine sees exactly
+  // one plan miss for the policy), and parked followers must resolve
+  // too.
   constexpr size_t kColdDomain = 4096;  // Theta1D th=4: ~100ms plan
   constexpr size_t kWarmDomain = 64;
   constexpr size_t kWarmFlood = 100;
@@ -249,7 +250,7 @@ TEST(EngineAsync, ColdPlanDoesNotBlockWarmLane) {
 
   // Single-flight: 4 queued cold requests, 1 plan. (2 misses total:
   // "fast" warming + "slow".)
-  const PlanCache::Stats plan_stats = engine.plan_cache_stats();
+  const QueryEngine::PlanCacheStats plan_stats = engine.plan_cache_stats();
   EXPECT_EQ(plan_stats.misses, 2u);
   const AsyncStats stats = async.stats();
   EXPECT_GE(stats.cold_plans_coalesced, 1u);

@@ -82,7 +82,7 @@ TEST(EngineConcurrency, ParallelSubmitsAcrossPoliciesAndSessions) {
   EXPECT_NEAR(policy_spent, kThreads * kSubmitsPerThread * kEps, 1e-9);
 
   // Each (policy, options) pair planned exactly once; repeats hit.
-  const PlanCache::Stats stats = engine.plan_cache_stats();
+  const QueryEngine::PlanCacheStats stats = engine.plan_cache_stats();
   EXPECT_EQ(stats.entries, 3u);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kSubmitsPerThread);
@@ -146,6 +146,10 @@ TEST(EngineConcurrency, SubmitsRaceRegistryChurn) {
       engine.RegisterPolicy("churn", LinePolicy(16), Ramp(16), 1e6).ok());
 
   std::atomic<bool> stop{false};
+  // The writer starts churning only once every reader has finished
+  // one full loop, so "stable" has been looked up by every reader —
+  // at least kReaderThreads - 1 plan hits — before any Replace runs.
+  std::atomic<size_t> readers_ready{0};
   std::atomic<size_t> unexpected{0};
   std::mutex first_mu;
   std::string first_error;
@@ -156,6 +160,7 @@ TEST(EngineConcurrency, SubmitsRaceRegistryChurn) {
   };
 
   std::thread writer([&] {
+    while (readers_ready.load() < kReaderThreads) std::this_thread::yield();
     for (size_t round = 0; round < kWriterRounds; ++round) {
       // Swap between two shapes so cached plans really go stale.
       Policy policy =
@@ -174,8 +179,10 @@ TEST(EngineConcurrency, SubmitsRaceRegistryChurn) {
       const std::string session = "r" + std::to_string(t);
       if (!engine.OpenSession(session, 1e6).ok()) {
         unexpected.fetch_add(1);
+        readers_ready.fetch_add(1);
         return;
       }
+      bool first_loop = true;
       while (!stop.load()) {
         for (const char* policy : {"stable", "churn"}) {
           QueryRequest request;
@@ -190,6 +197,10 @@ TEST(EngineConcurrency, SubmitsRaceRegistryChurn) {
             note(Status::Internal("wrong answer size"));
           }
         }
+        if (first_loop) {
+          first_loop = false;
+          readers_ready.fetch_add(1);
+        }
       }
     });
   }
@@ -202,59 +213,71 @@ TEST(EngineConcurrency, SubmitsRaceRegistryChurn) {
   EXPECT_GT(engine.plan_cache_stats().hits, 0u);
 }
 
-TEST(EngineConcurrency, ColdPlanCacheMissesSingleFlight) {
-  // All threads miss the same key at once; exactly one may pay the
-  // planner cost, the rest must block and share its plan.
+TEST(EngineConcurrency, ColdHerdPlansOnce) {
+  // Every thread submits against the same cold policy at once; the
+  // serving slot's single flight lets exactly one of them plan (and
+  // transform), the rest share its state.
   constexpr size_t kThreads = 8;
-  PlanCache cache;
-  std::atomic<size_t> invocations{0};
-  std::atomic<size_t> failures{0};
+  QueryEngine engine;
+  ASSERT_TRUE(engine
+                  .RegisterPolicy("herd", Theta1DPolicy(1024, 4), Ramp(1024),
+                                  1e6)
+                  .ok());
+  ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
 
+  std::atomic<size_t> arrived{0};
+  std::atomic<size_t> failures{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      bool hit = false;
-      const Result<std::shared_ptr<const Plan>> plan = cache.GetOrCompute(
-          "key",
-          [&]() -> Result<Plan> {
-            invocations.fetch_add(1);
-            // Hold the flight open long enough that every other
-            // thread arrives while planning is in progress.
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            Plan p;
-            p.kind = "slow-plan";
-            return p;
-          },
-          &hit);
-      if (!plan.ok() || (*plan)->kind != "slow-plan") failures.fetch_add(1);
+      QueryRequest request;
+      request.session = "s";
+      request.policy = "herd";
+      request.workload = IdentityWorkload(1024);
+      request.epsilon = 0.1;
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      if (!engine.Submit(request).ok()) failures.fetch_add(1);
     });
   }
   for (std::thread& thread : threads) thread.join();
 
-  EXPECT_EQ(invocations.load(), 1u) << "thundering herd ran the planner "
-                                    << invocations.load() << " times";
   EXPECT_EQ(failures.load(), 0u);
-  const PlanCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.misses, 1u);
+  const QueryEngine::PlanCacheStats stats = engine.plan_cache_stats();
+  EXPECT_EQ(stats.misses, 1u) << "the herd ran the planner " << stats.misses
+                              << " times";
   EXPECT_EQ(stats.hits, kThreads - 1);
+  EXPECT_EQ(stats.entries, 1u);
 }
 
-TEST(EngineConcurrency, FailedPlanIsSharedButNotCached) {
-  PlanCache cache;
-  std::atomic<size_t> invocations{0};
-  bool hit = false;
-  const auto failing = [&]() -> Result<Plan> {
-    invocations.fetch_add(1);
-    return Status::InvalidArgument("unplannable");
-  };
-  EXPECT_EQ(cache.GetOrCompute("k", failing, &hit).status().code(),
-            StatusCode::kInvalidArgument);
-  // The failure was not cached; the next caller retries the planner.
-  EXPECT_EQ(cache.GetOrCompute("k", failing, &hit).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(invocations.load(), 2u);
-  EXPECT_EQ(cache.stats().entries, 0u);
+TEST(EngineConcurrency, FailedPlanIsNotCached) {
+  // A graph with no edges is unplannable (kInvalidArgument). The
+  // failure must not fill the slot — the next submit plans again —
+  // and, failing before the charge, must spend no ε.
+  QueryEngine engine;
+  ASSERT_TRUE(engine
+                  .RegisterPolicy("edgeless",
+                                  Policy{"edgeless", DomainShape({8}),
+                                         Graph(8)},
+                                  Ramp(8), 10.0)
+                  .ok());
+  ASSERT_TRUE(engine.OpenSession("s", 5.0).ok());
+  QueryRequest request;
+  request.session = "s";
+  request.policy = "edgeless";
+  request.workload = IdentityWorkload(8);
+  request.epsilon = 0.5;
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(engine.Submit(request).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  const QueryEngine::PlanCacheStats stats = engine.plan_cache_stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_FALSE(engine.IsWarm(request));
+  EXPECT_EQ(*engine.PolicyRemaining("edgeless"), 10.0);
+  EXPECT_EQ(*engine.SessionRemaining("s"), 5.0);
 }
 
 TEST(EngineConcurrency, ConcurrentCloseReportsClosedNotExhausted) {

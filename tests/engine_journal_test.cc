@@ -10,10 +10,12 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/budget_accountant.h"
@@ -104,6 +106,57 @@ TEST_F(JournalTest, FreshDirectoryOpensEmpty) {
   EXPECT_EQ(stats.recovered_records, 0u);
   EXPECT_EQ(stats.segments, 1u);  // header-only active segment
   EXPECT_TRUE((*journal)->health().ok());
+}
+
+TEST_F(JournalTest, OpenRacesConcurrentScrapesOfSharedRegistry) {
+  // A scrape holds the registry mutex while the journal gauges take
+  // the journal's mutex, so Open must never register metrics while
+  // holding that mutex (a lock-order inversion; a deadlock when both
+  // sides meet). Journals stay alive until the scraper stops: the
+  // registry keeps calling their gauges.
+  constexpr int kJournals = 8;
+  MetricsRegistry metrics;
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> scrapes{0};
+  std::thread scraper([&] {
+    while (!stop.load()) {
+      (void)metrics.PrometheusText();
+      (void)metrics.SnapshotJson();
+      scrapes.fetch_add(1);
+    }
+  });
+  std::vector<std::unique_ptr<LedgerJournal>> journals;
+  std::vector<std::string> dirs;
+  for (int i = 0; i < kJournals; ++i) {
+    JournalOptions options = Options();
+    options.dir = dir_ + "/j" + std::to_string(i);
+    options.metrics = &metrics;
+    Result<std::unique_ptr<LedgerJournal>> journal =
+        LedgerJournal::Open(options);
+    dirs.push_back(options.dir);
+    if (!journal.ok()) {
+      ADD_FAILURE() << journal.status().ToString();
+      break;
+    }
+    journals.push_back(std::move(journal).ValueOrDie());
+  }
+  while (scrapes.load() < 2) std::this_thread::yield();
+  stop.store(true);
+  scraper.join();
+
+  double segments = 0.0;
+  ASSERT_TRUE(metrics.TryReadValue("engine_journal_segments", &segments));
+  EXPECT_EQ(segments, 1.0);  // the last-opened journal's header segment
+  journals.clear();
+  for (const std::string& dir : dirs) {
+    JournalScanReport report;
+    if (LedgerJournal::Scan(dir, PosixJournalIo(), &report).ok()) {
+      for (const auto& segment : report.segments) {
+        (void)PosixJournalIo()->Remove(dir + "/" + segment.name);
+      }
+    }
+    ::rmdir(dir.c_str());
+  }
 }
 
 TEST_F(JournalTest, ReplayIsBitExactAndConsumeOnce) {

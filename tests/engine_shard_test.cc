@@ -146,11 +146,11 @@ TEST(PolicyShards, ManyPoliciesSpreadAndEnumerateAcrossShards) {
   EXPECT_EQ(registry.size(), kCount / 2);
 }
 
-TEST(TransformCache, DropTransformedEvictsAcrossShardsOnLifecycleOps) {
-  // Several θ>=2 grid policies; consecutive versions land in
-  // different precompute shards. Each warm submit populates the
-  // sharded transform cache; Replace/Unregister must evict exactly
-  // the superseded snapshot's entries wherever they hashed to.
+TEST(TransformCache, SlotsDieWithTheirSnapshotOnLifecycleOps) {
+  // Several θ>=2 grid policies. Each warm submit builds its
+  // snapshot's serving slot (plan + slab transform); Replace and
+  // Unregister must drop exactly the superseded snapshots' slots from
+  // the live count.
   QueryEngine engine(EngineOptions{/*seed=*/1, false});
   const size_t kPolicies = 6;
   for (size_t i = 0; i < kPolicies; ++i) {
@@ -173,124 +173,19 @@ TEST(TransformCache, DropTransformedEvictsAcrossShardsOnLifecycleOps) {
   }
   EXPECT_EQ(engine.transform_cache_entries(), kPolicies);
 
-  // Replace evicts the superseded version's cache entry; the next
-  // submit repopulates for the new version.
+  // Replace leaves the superseded version's slot behind with its
+  // snapshot; the new version starts cold.
   ASSERT_TRUE(engine
                   .ReplacePolicy("slab0", GridPolicy(DomainShape({8, 8}), 4),
                                  Ramp(64), 100.0)
                   .ok());
   EXPECT_EQ(engine.transform_cache_entries(), kPolicies - 1);
 
-  // Unregister evicts too, for every remaining policy — if any shard
-  // were missed, the count could not reach zero.
+  // Unregister drops every remaining policy's slot the same way.
   for (size_t i = 0; i < kPolicies; ++i) {
     ASSERT_TRUE(engine.UnregisterPolicy("slab" + std::to_string(i)).ok());
   }
   EXPECT_EQ(engine.transform_cache_entries(), 0u);
-}
-
-TEST(TransformCache, ChurningManyPoliciesStaysUnderByteBudget) {
-  // Byte-budgeted transform cache: a registry holding many θ>=2 grid
-  // policies (each precompute carries an edge-domain vector) must keep
-  // resident bytes under budget at every step, evicting LRU entries —
-  // and an evicted policy must transparently recompute on next touch.
-  constexpr size_t kBudget = 2048;
-  EngineOptions options;
-  options.seed = 1;
-  options.transform_cache_bytes = kBudget;
-  QueryEngine engine(options);
-  const size_t kPolicies = 8;
-  for (size_t i = 0; i < kPolicies; ++i) {
-    ASSERT_TRUE(engine
-                    .RegisterPolicy("slab" + std::to_string(i),
-                                    GridPolicy(DomainShape({8, 8}), 4),
-                                    Ramp(64), 1e6)
-                    .ok());
-  }
-  ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
-  QueryRequest request;
-  request.session = "s";
-  request.ranges = RangeWorkload("r", DomainShape({8, 8}), {{{0, 0}, {3, 3}}});
-  request.epsilon = 0.1;
-  for (size_t round = 0; round < 3; ++round) {
-    for (size_t i = 0; i < kPolicies; ++i) {
-      request.policy = "slab" + std::to_string(i);
-      ASSERT_TRUE(engine.Submit(request).ValueOrDie().range_fast_path);
-      EXPECT_LE(engine.transform_cache_stats().bytes, kBudget)
-          << "round " << round << " policy " << i;
-    }
-  }
-  const QueryEngine::TransformCacheStats stats =
-      engine.transform_cache_stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LT(stats.entries, kPolicies);
-  EXPECT_LE(stats.bytes, kBudget);
-}
-
-TEST(PlanCacheBudget, EvictionsAreSplitFromInvalidationsAndBudgetHolds) {
-  EngineOptions options;
-  options.seed = 1;
-  // Roughly two line-policy plans' worth (approx_bytes ≈ 2.2 KB each).
-  options.plan_cache_bytes = 5000;
-  QueryEngine engine(options);
-  const size_t kPolicies = 4;
-  for (size_t i = 0; i < kPolicies; ++i) {
-    ASSERT_TRUE(engine
-                    .RegisterPolicy("p" + std::to_string(i), LinePolicy(32),
-                                    Ramp(32), 1e6)
-                    .ok());
-  }
-  ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
-  QueryRequest request;
-  request.session = "s";
-  request.workload = IdentityWorkload(32);
-  request.epsilon = 0.1;
-  for (size_t i = 0; i < kPolicies; ++i) {
-    request.policy = "p" + std::to_string(i);
-    ASSERT_TRUE(engine.Submit(request).ok());
-  }
-  PlanCache::Stats stats = engine.plan_cache_stats();
-  // Every submit was one lookup; the invariant survives eviction.
-  EXPECT_EQ(stats.hits + stats.misses, static_cast<uint64_t>(kPolicies));
-  EXPECT_EQ(stats.misses, static_cast<uint64_t>(kPolicies));
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_EQ(stats.invalidations, 0u);
-  EXPECT_LE(stats.bytes, options.plan_cache_bytes);
-  EXPECT_LT(stats.entries, kPolicies);
-
-  // Lifecycle removals count separately from budget evictions.
-  const uint64_t evictions_before = stats.evictions;
-  ASSERT_TRUE(engine.UnregisterPolicy("p" + std::to_string(kPolicies - 1))
-                  .ok());
-  stats = engine.plan_cache_stats();
-  EXPECT_EQ(stats.evictions, evictions_before);
-  EXPECT_GT(stats.invalidations, 0u);
-}
-
-TEST(PlanCacheBudget, WarmSlotHitsKeepTheLookupInvariant) {
-  // hits + misses == lookups must hold across the snapshot-slot fast
-  // path too (RecordHit), with and without a byte budget.
-  for (const size_t budget : {size_t{0}, size_t{100000}}) {
-    EngineOptions options;
-    options.seed = 1;
-    options.plan_cache_bytes = budget;
-    QueryEngine engine(options);
-    ASSERT_TRUE(
-        engine.RegisterPolicy("p", LinePolicy(16), Ramp(16), 1e6).ok());
-    ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
-    QueryRequest request;
-    request.session = "s";
-    request.policy = "p";
-    request.workload = IdentityWorkload(16);
-    request.epsilon = 0.1;
-    const size_t kSubmits = 5;
-    for (size_t i = 0; i < kSubmits; ++i) {
-      ASSERT_TRUE(engine.Submit(request).ok());
-    }
-    const PlanCache::Stats stats = engine.plan_cache_stats();
-    EXPECT_EQ(stats.hits + stats.misses, kSubmits);
-    EXPECT_EQ(stats.misses, 1u);
-  }
 }
 
 TEST(TransformCache, DensePrecomputesEvictWithTheirSnapshot) {

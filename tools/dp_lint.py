@@ -63,20 +63,9 @@ within their first ten lines; path-scoped rules (rng-discipline's src/rng/
 exemption, epsilon-confinement's budget-class exemption, charge-before-
 noise's src/engine/ scope) then apply as if the file lived at that path.
 
-Modes
------
-  --mode auto   (default) use libclang if importable, else regex
-  --mode ast    require libclang (clang.cindex); error if missing
-  --mode regex  pure-regex analysis, no dependencies
-
-The AST mode refines rng-discipline and epsilon-confinement with real
-token/cursor information; the remaining rules always use the regex engine
-(their patterns are structural, not expression-level). Both modes report
-identical rule names and exit codes, so CI can run either.
-
 Usage
 -----
-  python3 tools/dp_lint.py [--mode M] [paths...]     # default: src tools
+  python3 tools/dp_lint.py [paths...]                # default: src tools
   python3 tools/dp_lint.py --self-test               # run fixture corpus
   python3 tools/dp_lint.py --list-rules
 
@@ -532,80 +521,6 @@ def check_lock_order(sf: SourceFile, out: List[Violation]) -> None:
 
 
 # --------------------------------------------------------------------------
-# optional AST refinement (libclang)
-# --------------------------------------------------------------------------
-
-def try_load_libclang():
-    try:
-        from clang import cindex  # type: ignore
-        try:
-            cindex.Index.create()
-        except Exception:
-            return None
-        return cindex
-    except Exception:
-        return None
-
-
-def ast_check_file(cindex, sf: SourceFile, out: List[Violation]) -> bool:
-    """AST-backed rng-discipline + epsilon-confinement. Returns False when
-    parsing fails (caller falls back to regex for these two rules)."""
-    try:
-        index = cindex.Index.create()
-        tu = index.parse(sf.path, args=["-std=c++17", "-I" + REPO_ROOT,
-                                        "-I" + os.path.join(REPO_ROOT, "src")])
-    except Exception:
-        return False
-    if tu is None:
-        return False
-
-    banned_refs = {"rand", "srand", "random_device", "mt19937", "mt19937_64",
-                   "minstd_rand", "minstd_rand0", "default_random_engine",
-                   "random_shuffle"}
-    eps_field = re.compile(r"^(eps|epsilon|budget|spent)\w*$")
-    arith_ops = {"+", "-", "*", "/", "+=", "-=", "*=", "/=", "++", "--"}
-
-    def walk(node):
-        try:
-            loc = node.location
-            if loc.file is None or os.path.abspath(str(loc.file)) != \
-                    os.path.abspath(sf.path):
-                for child in node.get_children():
-                    walk(child)
-                return
-        except Exception:
-            return
-        kind = node.kind
-        if not in_scope(sf, RNG_SANCTUARY) and kind in (
-                cindex.CursorKind.DECL_REF_EXPR,
-                cindex.CursorKind.TYPE_REF,
-                cindex.CursorKind.CALL_EXPR):
-            if node.spelling in banned_refs:
-                report(sf, "rng-discipline", loc.line,
-                       f"'{node.spelling}' outside src/rng/; use "
-                       "blowfish::Rng", out)
-        if not in_scope(sf, EPSILON_SANCTUARY) and kind in (
-                cindex.CursorKind.BINARY_OPERATOR,
-                cindex.CursorKind.COMPOUND_ASSIGNMENT_OPERATOR,
-                cindex.CursorKind.UNARY_OPERATOR):
-            tokens = [t.spelling for t in node.get_tokens()]
-            if any(t in arith_ops for t in tokens):
-                for child in node.walk_preorder():
-                    if child.kind == cindex.CursorKind.MEMBER_REF_EXPR and \
-                            eps_field.match(child.spelling or ""):
-                        report(sf, "epsilon-confinement", loc.line,
-                               f"arithmetic on epsilon/budget field "
-                               f"'{child.spelling}' outside the budget "
-                               "classes", out)
-                        break
-        for child in node.get_children():
-            walk(child)
-
-    walk(tu.cursor)
-    return True
-
-
-# --------------------------------------------------------------------------
 # driver
 # --------------------------------------------------------------------------
 
@@ -618,20 +533,12 @@ REGEX_RULES: List[Tuple[str, Callable[[SourceFile, List[Violation]], None]]] = [
     ("lock-order", check_lock_order),
 ]
 
-AST_COVERED = {"rng-discipline", "epsilon-confinement"}
-
-
-def lint_file(path: str, mode: str, cindex) -> List[Violation]:
+def lint_file(path: str) -> List[Violation]:
     sf = load_file(path)
     if sf is None:
         return []
     out: List[Violation] = []
-    ast_ok = False
-    if mode in ("ast", "auto") and cindex is not None:
-        ast_ok = ast_check_file(cindex, sf, out)
-    for rule, check in REGEX_RULES:
-        if ast_ok and rule in AST_COVERED:
-            continue
+    for _, check in REGEX_RULES:
         check(sf, out)
     return out
 
@@ -656,7 +563,7 @@ def collect_paths(roots: Sequence[str]) -> List[str]:
     return files
 
 
-def run_self_test(mode: str, cindex) -> int:
+def run_self_test() -> int:
     fixture_dir = os.path.join(REPO_ROOT, "tests", "lint")
     if not os.path.isdir(fixture_dir):
         print(f"dp_lint: fixture dir missing: {fixture_dir}", file=sys.stderr)
@@ -677,7 +584,7 @@ def run_self_test(mode: str, cindex) -> int:
             print(f"SKIP  {fn} (name must end _bad/_good)")
             continue
         rule = re.sub(r"_exempt$", "", rule).replace("_", "-")
-        violations = lint_file(os.path.join(fixture_dir, fn), mode, cindex)
+        violations = lint_file(os.path.join(fixture_dir, fn))
         fired = [v for v in violations if v.rule == rule]
         others = [v for v in violations if v.rule != rule]
         ok = (bool(fired) if expect_fire else not fired) and not others
@@ -698,8 +605,6 @@ def main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(prog="dp_lint.py", add_help=True)
     parser.add_argument("paths", nargs="*",
                         help="files or directories (default: src tools)")
-    parser.add_argument("--mode", choices=("auto", "ast", "regex"),
-                        default="auto")
     parser.add_argument("--self-test", action="store_true",
                         help="run the tests/lint/ fixture corpus")
     parser.add_argument("--list-rules", action="store_true")
@@ -711,20 +616,8 @@ def main(argv: Sequence[str]) -> int:
         print("escape-hygiene")
         return 0
 
-    cindex = None
-    if args.mode in ("auto", "ast"):
-        cindex = try_load_libclang()
-        if cindex is None and args.mode == "ast":
-            print("dp_lint: --mode ast requires python libclang "
-                  "(clang.cindex); install clang bindings or use "
-                  "--mode regex", file=sys.stderr)
-            return 2
-        if cindex is None and args.mode == "auto":
-            print("dp_lint: libclang unavailable; using regex engine",
-                  file=sys.stderr)
-
     if args.self_test:
-        return run_self_test(args.mode, cindex)
+        return run_self_test()
 
     roots = args.paths or [os.path.join(REPO_ROOT, "src"),
                            os.path.join(REPO_ROOT, "tools")]
@@ -735,7 +628,7 @@ def main(argv: Sequence[str]) -> int:
         return 2
     violations: List[Violation] = []
     for path in files:
-        violations.extend(lint_file(path, args.mode, cindex))
+        violations.extend(lint_file(path))
     for v in violations:
         print(v.render())
     print(f"dp_lint: {len(files)} files, {len(violations)} violation(s)")

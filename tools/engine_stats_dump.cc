@@ -307,7 +307,7 @@ int RunSnapshotSmoke(const Args& args) {
   }
   restored.OpenSession("alice", 1e6).Check();
   const QueryResult warm = restored.Submit(request).ValueOrDie();
-  const PlanCache::Stats cache = restored.plan_cache_stats();
+  const QueryEngine::PlanCacheStats cache = restored.plan_cache_stats();
   if (!warm.plan_cache_hit || cache.misses != 0) {
     std::fprintf(stderr,
                  "snapshot smoke: restart was cold (hit=%d misses=%" PRIu64
