@@ -231,29 +231,28 @@ Vector GridThetaRangeMechanism::AnswerRangesOnTransformed(
 }
 
 std::unique_ptr<GridThetaRangeMechanism::RangeCursor>
-GridThetaRangeMechanism::BeginRanges(RangeWorkload workload, const Vector& xg,
-                                     double n, double epsilon,
-                                     Rng* rng) const {
+GridThetaRangeMechanism::BeginRanges(const Vector& xg, double n,
+                                     double epsilon, Rng* rng) const {
   BF_CHECK_GT(epsilon, 0.0);
-  BF_CHECK_EQ(workload.domain().num_dims(), 2u);
-  BF_CHECK_EQ(workload.domain().size(), k_ * k_);
   const double eps_prime = epsilon / static_cast<double>(stretch_);
-  // All noise for the submit is drawn here — the cursor's chunks are
+  // All noise for the submit is drawn here — the cursor's answers are
   // post-processing, so pausing or abandoning it leaks nothing beyond
   // the releases the charge already covered.
   Releases rel = RunReleases(xg, eps_prime, rng);
   return std::unique_ptr<RangeCursor>(
-      new RangeCursor(this, std::move(workload), std::move(rel), n));
+      new RangeCursor(this, std::move(rel), n));
 }
 
-size_t GridThetaRangeMechanism::RangeCursor::AnswerNext(size_t count,
-                                                        Vector* out) {
-  const size_t end = std::min(next_ + count, workload_.num_queries());
+size_t GridThetaRangeMechanism::RangeCursor::AnswerNext(
+    const RangeWorkload& workload, size_t count, Vector* out) {
+  BF_CHECK_EQ(workload.domain().num_dims(), 2u);
+  BF_CHECK_EQ(workload.domain().size(), mech_->k_ * mech_->k_);
+  const size_t end = std::min(next_ + count, workload.num_queries());
   const size_t produced = end - next_;
   out->reserve(out->size() + produced);
   for (; next_ < end; ++next_) {
     out->push_back(
-        mech_->AnswerOneRange(workload_.queries()[next_], releases_, n_));
+        mech_->AnswerOneRange(workload.queries()[next_], releases_, n_));
   }
   return produced;
 }

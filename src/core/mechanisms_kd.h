@@ -76,44 +76,39 @@ class GridThetaRangeMechanism {
   /// \brief Resumable form of AnswerRangesOnTransformed. The noisy
   /// slab/line releases — the whole privacy-relevant part of the
   /// submit — are drawn at construction; AnswerNext() then
-  /// reconstructs queries strictly in workload order, any number at a
-  /// time, as pure post-processing of those releases. Concatenating
-  /// every block is bit-identical to the one-shot call with the same
-  /// rng stream. Not thread-safe; the owning mechanism must outlive
-  /// the cursor.
+  /// reconstructs a workload's queries strictly in order, any number
+  /// at a time, as pure post-processing of those releases.
+  /// Concatenating every block is bit-identical to the one-shot call
+  /// with the same rng stream. The cursor holds no queries: every
+  /// AnswerNext call passes the same workload, which the caller keeps
+  /// alive. Not thread-safe; the owning mechanism must outlive the
+  /// cursor.
   class RangeCursor {
    public:
     /// Appends up to `count` answers (fewer at the tail) for queries
-    /// [position(), position() + count) to `out`; returns how many
-    /// were produced (0 once exhausted).
-    size_t AnswerNext(size_t count, Vector* out);
+    /// [position(), position() + count) of `workload` to `out`;
+    /// returns how many were produced (0 once exhausted).
+    size_t AnswerNext(const RangeWorkload& workload, size_t count,
+                      Vector* out);
 
     size_t position() const { return next_; }
-    size_t total() const { return workload_.num_queries(); }
-    bool done() const { return next_ >= workload_.num_queries(); }
 
    private:
     friend class GridThetaRangeMechanism;
-    RangeCursor(const GridThetaRangeMechanism* mech, RangeWorkload workload,
-                Releases releases, double n)
-        : mech_(mech),
-          workload_(std::move(workload)),
-          releases_(std::move(releases)),
-          n_(n) {}
+    RangeCursor(const GridThetaRangeMechanism* mech, Releases releases,
+                double n)
+        : mech_(mech), releases_(std::move(releases)), n_(n) {}
 
     const GridThetaRangeMechanism* mech_;
-    RangeWorkload workload_;
     Releases releases_;
     double n_;
     size_t next_ = 0;
   };
 
   /// Draws this submit's releases and positions a cursor at query 0.
-  /// Same preconditions as AnswerRangesOnTransformed; the cursor
-  /// takes ownership of the workload, so the caller's request may die
-  /// first.
-  std::unique_ptr<RangeCursor> BeginRanges(RangeWorkload workload,
-                                           const Vector& xg, double n,
+  /// Same preconditions on `xg`, `n` and `epsilon` as
+  /// AnswerRangesOnTransformed.
+  std::unique_ptr<RangeCursor> BeginRanges(const Vector& xg, double n,
                                            double epsilon, Rng* rng) const;
 
   /// Full-histogram release x̂ (all k² cells, flattened row-major):

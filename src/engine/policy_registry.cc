@@ -48,6 +48,19 @@ std::shared_ptr<RegisteredPolicy> MakeEntry(const std::string& name,
 
 }  // namespace
 
+ServingState BuildServingState(
+    const std::string& policy_name, const Vector& data, Plan plan,
+    std::shared_ptr<const BlowfishMechanism::ReleasePrecompute> precompute) {
+  ServingState state;
+  state.plan = std::move(plan);
+  state.plan.audit_context = std::make_shared<const std::string>(
+      "policy '" + policy_name + "' via " + state.plan.kind);
+  state.precompute = precompute != nullptr
+                         ? std::move(precompute)
+                         : state.plan.mechanism->PrecomputeRelease(data);
+  return state;
+}
+
 PolicyMetadata ComputePolicyMetadata(const Policy& policy) {
   PolicyMetadata meta;
   meta.domain_size = policy.domain_size();

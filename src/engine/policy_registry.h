@@ -65,6 +65,24 @@ struct ServingState {
   std::shared_ptr<const BlowfishMechanism::ReleasePrecompute> precompute;
 };
 
+/// The state of a slot of the snapshot registered as `policy_name`
+/// over `data`, from a fresh plan: formats the plan's audit context
+/// once (every charge on the plan shares it, see ChargeTag::context)
+/// and builds the noise-free release precompute unless a decoded one
+/// is supplied. Noise-free, so building it before the charge releases
+/// nothing.
+ServingState BuildServingState(
+    const std::string& policy_name, const Vector& data, Plan plan,
+    std::shared_ptr<const BlowfishMechanism::ReleasePrecompute> precompute =
+        nullptr);
+
+/// The key `version << 1 | option` naming one serving slot: the unit
+/// of cold single flight and of a persisted transform. Versions are
+/// unique across the registry, so a key never aliases another policy.
+inline uint64_t ServingSlotKey(uint64_t version, size_t option) {
+  return (version << 1) | option;
+}
+
 /// \brief One planner option's lazily built ServingState. Published at
 /// most once and never cleared, so a warm read is one acquire load and
 /// a Replace/Unregister can never serve a stale plan or transform: the

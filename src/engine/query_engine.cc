@@ -18,40 +18,38 @@ namespace {
 // well-separated Rng seeds.
 constexpr uint64_t kStreamStep = 0x9E3779B97F4A7C15ull;
 
-/// Shape facts of one request, computed without any allocation.
-struct RequestShape {
-  bool has_ranges = false;
-  size_t num_queries = 0;
-  size_t domain = 0;
-  const std::string* workload_name = nullptr;
-};
+const std::string& WorkloadName(const QueryRequest& request) {
+  return request.ranges.has_value() ? request.ranges->name()
+                                    : request.workload.name();
+}
 
-Status ValidateShape(const QueryRequest& request, RequestShape* shape) {
+/// Shape checks of one request, made without any allocation. On
+/// success `*domain` is the number of cells its workload spans.
+Status ValidateShape(const QueryRequest& request, size_t* domain) {
   if (request.epsilon <= 0.0) {
     return Status::InvalidArgument("submit needs a positive epsilon");
   }
-  shape->has_ranges = request.ranges.has_value();
-  if (shape->has_ranges && request.workload.num_queries() > 0) {
+  const bool has_ranges = request.ranges.has_value();
+  if (has_ranges && request.workload.num_queries() > 0) {
     return Status::InvalidArgument(
         "submit carries both a dense and a range workload; set exactly one");
   }
-  shape->num_queries = shape->has_ranges ? request.ranges->num_queries()
-                                         : request.workload.num_queries();
-  if (shape->num_queries == 0) {
+  const size_t num_queries = has_ranges ? request.ranges->num_queries()
+                                        : request.workload.num_queries();
+  if (num_queries == 0) {
     return Status::InvalidArgument("submit needs a non-empty workload");
   }
-  shape->domain = shape->has_ranges ? request.ranges->domain().size()
-                                    : request.workload.domain_size();
-  shape->workload_name = shape->has_ranges ? &request.ranges->name()
-                                           : &request.workload.name();
+  *domain = has_ranges ? request.ranges->domain().size()
+                       : request.workload.domain_size();
   return Status::OK();
 }
 
-Status CheckDomain(const RequestShape& shape, const RegisteredPolicy& entry) {
-  if (shape.domain != entry.policy.domain_size()) {
+Status CheckDomain(const QueryRequest& request, size_t domain,
+                   const RegisteredPolicy& entry) {
+  if (domain != entry.policy.domain_size()) {
     return Status::InvalidArgument(
-        "workload '" + *shape.workload_name + "' spans " +
-        std::to_string(shape.domain) + " cells but policy '" + entry.name +
+        "workload '" + WorkloadName(request) + "' spans " +
+        std::to_string(domain) + " cells but policy '" + entry.name +
         "' has domain size " + std::to_string(entry.policy.domain_size()));
   }
   return Status::OK();
@@ -67,6 +65,11 @@ FlightOutcome FlightOutcomeOf(const Status& status) {
     default:
       return FlightOutcome::kFailed;
   }
+}
+
+uint32_t Micros(std::chrono::steady_clock::duration elapsed) {
+  return static_cast<uint32_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
 }
 
 int64_t WallMicrosNow() {
@@ -135,7 +138,7 @@ QueryEngine::QueryEngine(EngineOptions options)
       accountant_.SetJournal(journal_.get());
     } else {
       // A constructor cannot return the failure, so the engine fails
-      // closed instead: Admit refuses everything with this status.
+      // closed instead: Resolve refuses everything with this status.
       // QueryEngine::Open surfaces it properly.
       journal_error_ = journal.status();
     }
@@ -327,7 +330,7 @@ HealthReport QueryEngine::Healthz() const {
   HealthReport report;
   const Status durability = durability_health();
   // The up/down decision is exactly the fail-closed durability signal:
-  // a 503 here means Admit is refusing every charge too. Everything
+  // a 503 here means every charge is being refused too. Everything
   // else in the body is context, not a cause for 503 — a burn alert
   // or a dropped audit event degrades insight, not correctness.
   report.ok = durability.ok();
@@ -487,11 +490,11 @@ void QueryEngine::RestoreFromSnapshot() {
   snapshot_restore_stats_.loaded = true;
   snapshot_restore_stats_.generation = report.generation;
 
-  // Persisted transforms by serving-slot key (version << 1 | option);
-  // each restored plan consumes its own.
+  // Persisted transforms by serving-slot key; each restored plan
+  // consumes its own.
   std::unordered_map<uint64_t, const SnapshotTransform*> transforms;
   for (const SnapshotTransform& st : image.transforms) {
-    const uint64_t key = (st.version << 1) | (st.data_dependent ? 1u : 0u);
+    const uint64_t key = ServingSlotKey(st.version, st.data_dependent ? 1 : 0);
     if (!transforms.emplace(key, &st).second) {
       ++snapshot_restore_stats_.items_skipped;  // duplicate section
     }
@@ -571,27 +574,26 @@ void QueryEngine::RestoreFromSnapshot() {
         ++snapshot_restore_stats_.items_skipped;
         continue;
       }
-      ServingState state;
-      state.plan = std::move(planned).ValueOrDie();
-      state.plan.audit_context = std::make_shared<const std::string>(
-          "policy '" + live.name + "' via " + state.plan.kind);
-      const auto persisted = transforms.find((live.version << 1) | hint.slot);
+      Plan plan = std::move(planned).ValueOrDie();
+      std::shared_ptr<const BlowfishMechanism::ReleasePrecompute> decoded;
+      const auto persisted =
+          transforms.find(ServingSlotKey(live.version, hint.slot));
       if (persisted != transforms.end()) {
         const SnapshotTransform& st = *persisted->second;
-        state.precompute =
-            state.plan.mechanism->DecodePrecompute(st.family, st.payload);
+        decoded = plan.mechanism->DecodePrecompute(st.family, st.payload);
         transforms.erase(persisted);
-        if (state.precompute != nullptr) {
+        if (decoded != nullptr) {
           ++snapshot_restore_stats_.transforms_restored;
         } else {
           ++snapshot_restore_stats_.items_skipped;  // family/shape mismatch
         }
       }
       // Not persisted (no precompute split, or not serializable) or not
-      // decodable: rebuild it now, so the restored slot is warm.
-      if (state.precompute == nullptr) {
-        state.precompute = state.plan.mechanism->PrecomputeRelease(live.data);
-      }
+      // decodable: the builder rebuilds it now, so the restored slot is
+      // warm.
+      ServingState state = BuildServingState(live.name, live.data,
+                                             std::move(plan),
+                                             std::move(decoded));
       bool built = false;
       (void)live.slots[hint.slot].GetOrBuild(
           [&] { return Result<ServingState>(std::move(state)); }, &built);
@@ -740,7 +742,7 @@ bool QueryEngine::IsWarm(const QueryRequest& request,
   const RegisteredPolicy& entry = *lookup.ValueOrDie();
   const size_t slot = request.prefer_data_dependent ? 1 : 0;
   if (entry.slots[slot].get() != nullptr) return true;
-  if (cold_key != nullptr) *cold_key = (entry.version << 1) | slot;
+  if (cold_key != nullptr) *cold_key = ServingSlotKey(entry.version, slot);
   return false;
 }
 
@@ -819,17 +821,8 @@ Result<const ServingState*> QueryEngine::GetOrPlan(
             Result<Plan> planned =
                 PlanMechanism(PlanRequest{entry.policy, prefer_data_dependent});
             if (!planned.ok()) return planned.status();
-            ServingState fresh;
-            fresh.plan = std::move(planned).ValueOrDie();
-            // Formatted once per plan; every charge on this plan shares
-            // it (see ChargeTag::context).
-            fresh.plan.audit_context = std::make_shared<const std::string>(
-                "policy '" + entry.name + "' via " + fresh.plan.kind);
-            // Noise-free, so building it before the charge releases
-            // nothing; null when the mechanism has no precompute split.
-            fresh.precompute =
-                fresh.plan.mechanism->PrecomputeRelease(entry.data);
-            return fresh;
+            return BuildServingState(entry.name, entry.data,
+                                     std::move(planned).ValueOrDie());
           },
           &built);
   (built ? plan_misses_ : plan_hits_).fetch_add(1, std::memory_order_relaxed);
@@ -837,53 +830,83 @@ Result<const ServingState*> QueryEngine::GetOrPlan(
   return state;
 }
 
-QueryResult QueryEngine::Release(const QueryRequest& request,
-                                 const RegisteredPolicy& entry,
-                                 const ServingState& state, bool cache_hit,
-                                 bool has_ranges) {
+/// The noisy release one admission paid for. Everything after it is
+/// post-processing (Thm 4.1), so the entry points differ only in how
+/// they pull answers out of it.
+struct QueryEngine::Draw {
+  /// θ>=2 grid fast path: this submit's slab/line releases, answered
+  /// by per-query reconstruction. Null on the histogram paths.
+  std::unique_ptr<GridThetaRangeMechanism::RangeCursor> ranges;
+  /// Histogram paths: the noisy estimate x̂ (domain-sized, not
+  /// workload-sized).
+  Vector estimate;
+  PrivacyGuarantee guarantee;
+};
+
+QueryEngine::Draw QueryEngine::DrawRelease(const QueryRequest& request,
+                                           const Admission& admission) {
+  const RegisteredPolicy& entry = *admission.entry;
+  const ServingState& state = *admission.state;
   const Plan& plan = state.plan;
   // Private random stream per submit; immutable plan, caller-side rng.
+  // With a fixed seed the n-th admission draws the n-th stream, whether
+  // its answers are materialized or streamed.
   const uint64_t stream = submit_counter_.fetch_add(1) + 1;
-  // dp-lint: allow(charge-before-noise) Release is a post-admission executor; callers reach it only after Admit's Charge succeeded
+  // dp-lint: allow(charge-before-noise) the one noise-draw dispatch; every caller holds an Admission whose Charge already succeeded
   Rng rng(seed_ ^ (kStreamStep * stream));
 
-  QueryResult result;
+  Draw draw;
   // The fast path reconstructs in the policy's own grid geometry, so
   // the request's domain must match the policy's shape exactly, not
   // just its flattened size.
-  if (has_ranges && plan.range_mechanism != nullptr &&
+  if (request.ranges.has_value() && plan.range_mechanism != nullptr &&
       request.ranges->domain().dims() == entry.policy.domain.dims()) {
-    // Fast path: noise is drawn once for this submit's slab releases
-    // and only the queried ranges are reconstructed — O(q·edges),
-    // versus the adapter's O(k²·edges) full-histogram detour. The
-    // noise-free data transform is shared across submits.
+    // Noise is drawn once for this submit's slab releases and only the
+    // queried ranges are reconstructed — O(q·edges), versus the
+    // adapter's O(k²·edges) full-histogram detour. range_mechanism
+    // comes only with the grid adapter, whose precompute is always a
+    // slab transform, and every built slot holds its precompute.
     const auto* slab =
         dynamic_cast<const GridThetaHistogramAdapter::SlabPrecompute*>(
             state.precompute.get());
-    if (slab != nullptr) {
-      result.answers = plan.range_mechanism->AnswerRangesOnTransformed(
-          *request.ranges, slab->xg, slab->n, request.epsilon, &rng);
-    } else {
-      // Safety net (the adapter always splits): transform per submit.
-      result.answers = plan.range_mechanism->AnswerRanges(
-          *request.ranges, entry.data, request.epsilon, &rng);
-    }
-    result.range_fast_path = true;
-    result.guarantee = plan.range_mechanism->Guarantee(request.epsilon);
+    BF_CHECK(slab != nullptr);
+    draw.ranges = plan.range_mechanism->BeginRanges(slab->xg, slab->n,
+                                                    request.epsilon, &rng);
+    draw.guarantee = plan.range_mechanism->Guarantee(request.epsilon);
   } else {
-    const Vector estimate =
+    draw.estimate =
         state.precompute != nullptr
             ? plan.mechanism->RunPrecomputed(*state.precompute,
                                              request.epsilon, &rng)
             : plan.mechanism->Run(entry.data, request.epsilon, &rng);
+    draw.guarantee = plan.mechanism->Guarantee(request.epsilon);
+  }
+  MaybeCheckpointJournal();
+  return draw;
+}
+
+QueryResult QueryEngine::Materialize(const QueryRequest& request,
+                                     const Admission& admission) {
+  Draw draw = DrawRelease(request, admission);
+  QueryResult result;
+  if (draw.ranges != nullptr) {
+    draw.ranges->AnswerNext(*request.ranges, request.ranges->num_queries(),
+                            &result.answers);
+  } else if (request.ranges.has_value()) {
     // Range workloads on histogram-release plans are answered from x̂
     // with a summed-area table; W is never materialized.
-    result.answers = has_ranges ? request.ranges->Answer(estimate)
-                                : request.workload.Answer(estimate);
-    result.guarantee = plan.mechanism->Guarantee(request.epsilon);
+    result.answers = request.ranges->Answer(draw.estimate);
+  } else {
+    result.answers = request.workload.Answer(draw.estimate);
   }
-  result.plan_kind = plan.kind;
-  result.plan_cache_hit = cache_hit;
+  result.plan_kind = admission.state->plan.kind;
+  result.plan_cache_hit = admission.cache_hit;
+  result.range_fast_path = draw.ranges != nullptr;
+  result.guarantee = std::move(draw.guarantee);
+  // Balances observed atomically inside the charge — a ledger closed
+  // right after still reports the value this submit actually saw.
+  result.session_remaining = admission.remaining[0];
+  result.policy_remaining = admission.remaining[1];
   return result;
 }
 
@@ -895,23 +918,26 @@ namespace {
 class GridStreamCursor : public ChunkCursor {
  public:
   GridStreamCursor(std::shared_ptr<const RegisteredPolicy> entry,
+                   RangeWorkload workload,
                    std::unique_ptr<GridThetaRangeMechanism::RangeCursor> core,
                    size_t chunk_queries)
       : entry_(std::move(entry)),
+        workload_(std::move(workload)),
         core_(std::move(core)),
         chunk_queries_(chunk_queries) {}
 
   std::optional<StreamChunk> NextChunk() override {
-    if (core_->done()) return std::nullopt;
+    if (core_->position() >= workload_.num_queries()) return std::nullopt;
     StreamChunk chunk;
     chunk.offset = core_->position();
-    core_->AnswerNext(chunk_queries_, &chunk.values);
+    core_->AnswerNext(workload_, chunk_queries_, &chunk.values);
     return chunk;
   }
-  size_t total_answers() const override { return core_->total(); }
+  size_t total_answers() const override { return workload_.num_queries(); }
 
  private:
   std::shared_ptr<const RegisteredPolicy> entry_;
+  RangeWorkload workload_;
   std::unique_ptr<GridThetaRangeMechanism::RangeCursor> core_;
   size_t chunk_queries_;
 };
@@ -981,68 +1007,6 @@ class DenseStreamCursor : public ChunkCursor {
 
 }  // namespace
 
-std::unique_ptr<ChunkCursor> QueryEngine::BuildCursor(
-    QueryRequest request, const Admission& admission,
-    const StreamOptions& options, StreamHeader* header) {
-  const RegisteredPolicy& entry = *admission.entry;
-  const Plan& plan = admission.state->plan;
-  // Same per-submit private rng stream as Release(): with a fixed
-  // seed, the n-th admission draws the n-th stream whether it
-  // materializes or streams — the equivalence the stream tests pin.
-  const uint64_t stream = submit_counter_.fetch_add(1) + 1;
-  // dp-lint: allow(charge-before-noise) BuildCursor is a post-admission executor; cursors are built only after AdmitStream's Charge succeeded
-  Rng rng(seed_ ^ (kStreamStep * stream));
-
-  header->plan_kind = plan.kind;
-  header->plan_cache_hit = admission.cache_hit;
-  header->session_remaining = admission.remaining[0];
-  header->policy_remaining = admission.remaining[1];
-  header->total_answers = admission.num_queries;
-
-  const size_t chunk_queries = std::max<size_t>(1, options.chunk_queries);
-  if (admission.has_ranges && plan.range_mechanism != nullptr &&
-      request.ranges->domain().dims() == entry.policy.domain.dims()) {
-    // Fast path: BeginRanges draws the submit's slab/line releases now
-    // (everything the charge covers); the cursor then reconstructs
-    // per query, exactly the increments AnswerRangesOnTransformed
-    // runs internally.
-    header->range_fast_path = true;
-    header->guarantee = plan.range_mechanism->Guarantee(request.epsilon);
-    const auto* slab =
-        dynamic_cast<const GridThetaHistogramAdapter::SlabPrecompute*>(
-            admission.state->precompute.get());
-    std::unique_ptr<GridThetaRangeMechanism::RangeCursor> core =
-        slab != nullptr
-            ? plan.range_mechanism->BeginRanges(std::move(*request.ranges),
-                                                slab->xg, slab->n,
-                                                request.epsilon, &rng)
-            // Safety net (the adapter always splits): transform per
-            // submit, mirroring Release()'s AnswerRanges fallback.
-            : plan.range_mechanism->BeginRanges(
-                  std::move(*request.ranges),
-                  plan.range_mechanism->PrecomputeTransformed(entry.data),
-                  Sum(entry.data), request.epsilon, &rng);
-    return std::make_unique<GridStreamCursor>(admission.entry,
-                                              std::move(core), chunk_queries);
-  }
-
-  // Histogram-release paths: the noisy estimate x̂ is the release (and
-  // is domain-sized, not workload-sized); the stream avoids
-  // materializing the q-sized answer vector.
-  const auto& pre = admission.state->precompute;
-  Vector estimate =
-      pre != nullptr
-          ? plan.mechanism->RunPrecomputed(*pre, request.epsilon, &rng)
-          : plan.mechanism->Run(entry.data, request.epsilon, &rng);
-  header->guarantee = plan.mechanism->Guarantee(request.epsilon);
-  if (admission.has_ranges) {
-    return std::make_unique<SatStreamCursor>(std::move(*request.ranges),
-                                             estimate, chunk_queries);
-  }
-  return std::make_unique<DenseStreamCursor>(
-      std::move(request.workload), std::move(estimate), chunk_queries);
-}
-
 Result<std::unique_ptr<ChunkCursor>> QueryEngine::AdmitStream(
     QueryRequest request, const StreamOptions& options, StreamHeader* header,
     RequestTrace* trace) {
@@ -1050,30 +1014,45 @@ Result<std::unique_ptr<ChunkCursor>> QueryEngine::AdmitStream(
   std::chrono::steady_clock::time_point start;
   if (obs_enabled_) start = std::chrono::steady_clock::now();
   Result<Admission> admitted = Admit(request, trace);
-  uint32_t admit_us = 0;
-  if (obs_enabled_) {
-    admit_us = static_cast<uint32_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-  }
+  const uint32_t admit_us =
+      obs_enabled_ ? Micros(std::chrono::steady_clock::now() - start) : 0;
   if (!admitted.ok()) {
     RecordRequestObs(request, nullptr, admitted.status(),
                      /*charged_epsilon=*/0.0, admit_us, admit_us);
     return admitted.status();
   }
-  MaybeCheckpointJournal();
   const Admission admission = std::move(admitted).ValueOrDie();
   // Recorded at admission — ε is spent here, and the request's
   // workload is about to move into the cursor. The noise draw below
   // lands in the release-stage histogram instead.
   RecordRequestObs(request, admission.entry.get(), Status::OK(),
                    request.epsilon, admit_us, admit_us);
-  // The release stage covers the noise draw at cursor construction
-  // (chunk production afterwards is pure post-processing, timed by
-  // the stream digests instead).
+  // The release stage covers the noise draw and the cursor's set-up
+  // (chunk production afterwards is pure post-processing, timed by the
+  // stream digests instead).
   TraceStageTimer timer(trace, TraceStage::kRelease);
-  return BuildCursor(std::move(request), admission, options, header);
+  Draw draw = DrawRelease(request, admission);
+  const size_t chunk_queries = std::max<size_t>(1, options.chunk_queries);
+  std::unique_ptr<ChunkCursor> cursor;
+  if (draw.ranges != nullptr) {
+    cursor = std::make_unique<GridStreamCursor>(
+        admission.entry, std::move(*request.ranges), std::move(draw.ranges),
+        chunk_queries);
+    header->range_fast_path = true;
+  } else if (request.ranges.has_value()) {
+    cursor = std::make_unique<SatStreamCursor>(std::move(*request.ranges),
+                                               draw.estimate, chunk_queries);
+  } else {
+    cursor = std::make_unique<DenseStreamCursor>(
+        std::move(request.workload), std::move(draw.estimate), chunk_queries);
+  }
+  header->plan_kind = admission.state->plan.kind;
+  header->plan_cache_hit = admission.cache_hit;
+  header->guarantee = std::move(draw.guarantee);
+  header->session_remaining = admission.remaining[0];
+  header->policy_remaining = admission.remaining[1];
+  header->total_answers = cursor->total_answers();
+  return cursor;
 }
 
 Result<std::shared_ptr<ResultStream>> QueryEngine::SubmitStream(
@@ -1088,50 +1067,44 @@ Result<std::shared_ptr<ResultStream>> QueryEngine::SubmitStream(
                                   std::move(header));
 }
 
-Result<QueryEngine::Admission> QueryEngine::Admit(const QueryRequest& request,
-                                                  RequestTrace* trace) {
+Status QueryEngine::Resolve(const QueryRequest& request, RequestTrace* trace,
+                            Admission* admission) {
   // Fail closed before any work: an engine whose journal failed to
   // open must refuse admission outright — serving charges it cannot
   // journal would silently void the durability guarantee. (Runtime
   // poisoning is enforced inside Charge by the journal itself.)
   if (!journal_error_.ok()) return journal_error_;
 
-  RequestShape shape;
+  size_t domain = 0;
   {
     TraceStageTimer timer(trace, TraceStage::kValidate);
-    BF_RETURN_NOT_OK(ValidateShape(request, &shape));
+    BF_RETURN_NOT_OK(ValidateShape(request, &domain));
   }
 
+  TraceStageTimer timer(trace, TraceStage::kResolve);
+  // Session first: a submit against an unknown session must not plan.
+  // This is a resolution, not a budget probe — the charge is the
+  // single point that touches the ledger.
+  if (request.session_handle.valid()) {
+    admission->session_ledger = request.session_handle;
+  } else {
+    Result<LedgerHandle> session = ResolveSession(request.session);
+    if (!session.ok()) return session.status();
+    admission->session_ledger = *session;
+  }
+
+  Result<std::shared_ptr<const RegisteredPolicy>> lookup =
+      request.policy_handle.valid() ? registry_.Get(request.policy_handle)
+                                    : registry_.Get(request.policy);
+  if (!lookup.ok()) return lookup.status();
+  admission->entry = std::move(lookup).ValueOrDie();
+  return CheckDomain(request, domain, *admission->entry);
+}
+
+Result<QueryEngine::Admission> QueryEngine::Admit(const QueryRequest& request,
+                                                  RequestTrace* trace) {
   Admission admission;
-  {
-    TraceStageTimer timer(trace, TraceStage::kResolve);
-    // Session first: a submit against an unknown session must not
-    // plan. This is a resolution, not a budget probe — the charge
-    // below is the single point that touches the ledger (no redundant
-    // lock/probe).
-    LedgerHandle session_ledger = request.session_handle;
-    if (!session_ledger.valid()) {
-      std::shared_lock<std::shared_mutex> lock(sessions_mu_);
-      auto it = sessions_.find(request.session);
-      if (it == sessions_.end()) {
-        return Status::NotFound("session '" + request.session +
-                                "' is not open");
-      }
-      session_ledger = it->second;
-    }
-    admission.session_ledger = session_ledger;
-
-    Result<std::shared_ptr<const RegisteredPolicy>> lookup =
-        request.policy_handle.valid() ? registry_.Get(request.policy_handle)
-                                      : registry_.Get(request.policy);
-    if (!lookup.ok()) return lookup.status();
-
-    admission.entry = std::move(lookup).ValueOrDie();
-    admission.has_ranges = shape.has_ranges;
-    admission.num_queries = shape.num_queries;
-
-    BF_RETURN_NOT_OK(CheckDomain(shape, *admission.entry));
-  }
+  BF_RETURN_NOT_OK(Resolve(request, trace, &admission));
 
   // Plan first (data-independent, costs no budget), charge second, and
   // only then draw noise: a refused query releases nothing.
@@ -1148,7 +1121,7 @@ Result<QueryEngine::Admission> QueryEngine::Admit(const QueryRequest& request,
     const LedgerHandle ledgers[2] = {admission.session_ledger,
                                      admission.entry->ledger};
     ChargeTag tag;
-    tag.workload = *shape.workload_name;
+    tag.workload = WorkloadName(request);
     tag.context = admission.state->plan.audit_context;
     const Status charged = accountant_.Charge(ledgers, 2, request.epsilon,
                                               tag, admission.remaining);
@@ -1177,13 +1150,8 @@ Result<QueryResult> QueryEngine::Submit(const QueryRequest& request,
   Result<Admission> admitted = Admit(request, trace);
   // One extra clock read, only when the obs plane wants the admission
   // split for flight records.
-  uint32_t admit_us = 0;
-  if (obs_enabled_) {
-    admit_us = static_cast<uint32_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-  }
+  const uint32_t admit_us =
+      obs_enabled_ ? Micros(std::chrono::steady_clock::now() - start) : 0;
   if (!admitted.ok()) {
     m_failures_->Add(1);
     m_submit_latency_->Record(std::chrono::duration<double, std::milli>(
@@ -1198,23 +1166,13 @@ Result<QueryResult> QueryEngine::Submit(const QueryRequest& request,
   QueryResult result;
   {
     TraceStageTimer timer(trace, TraceStage::kRelease);
-    result = Release(request, *admission.entry, *admission.state,
-                     admission.cache_hit, admission.has_ranges);
+    result = Materialize(request, admission);
   }
-  // Balances observed atomically inside the charge — a ledger closed
-  // right after still reports the value this submit actually saw.
-  result.session_remaining = admission.remaining[0];
-  result.policy_remaining = admission.remaining[1];
   const auto end = std::chrono::steady_clock::now();
   m_submit_latency_->Record(
       std::chrono::duration<double, std::milli>(end - start).count());
   RecordRequestObs(request, admission.entry.get(), Status::OK(),
-                   request.epsilon, admit_us,
-                   static_cast<uint32_t>(
-                       std::chrono::duration_cast<std::chrono::microseconds>(
-                           end - start)
-                           .count()));
-  MaybeCheckpointJournal();
+                   request.epsilon, admit_us, Micros(end - start));
   return result;
 }
 
@@ -1226,12 +1184,12 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
       batch.size(),
       Result<QueryResult>(Status::Internal("batch entry not processed")));
 
-  // Group by (session ledger, policy snapshot, planner options):
-  // everything per-group work below — registry snapshot, plan lookup,
-  // budget charge — happens once per group instead of once per entry.
+  // Group by (session ledger, policy snapshot, planner options): the
+  // plan lookup and the budget charge happen once per group instead of
+  // once per entry. A group's Admission is what Admit would have built
+  // for one Submit, with the group's combined charge.
   struct Group {
-    LedgerHandle session;
-    std::shared_ptr<const RegisteredPolicy> entry;
+    Admission admission;
     bool prefer_data_dependent = false;
     std::vector<size_t> indices;
     double eps_sum = 0.0;
@@ -1241,46 +1199,17 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
 
   for (size_t i = 0; i < batch.size(); ++i) {
     const QueryRequest& request = batch[i];
-    RequestShape shape;
-    Status valid = ValidateShape(request, &shape);
-    if (!valid.ok()) {
-      results[i] = valid;
-      RecordRequestObs(request, nullptr, valid, 0.0, 0, 0);
-      continue;
-    }
-    LedgerHandle session_ledger = request.session_handle;
-    if (!session_ledger.valid()) {
-      std::shared_lock<std::shared_mutex> lock(sessions_mu_);
-      auto it = sessions_.find(request.session);
-      if (it == sessions_.end()) {
-        Status not_found = Status::NotFound("session '" + request.session +
-                                            "' is not open");
-        results[i] = not_found;
-        lock.unlock();
-        RecordRequestObs(request, nullptr, not_found, 0.0, 0, 0);
-        continue;
-      }
-      session_ledger = it->second;
-    }
-    Result<std::shared_ptr<const RegisteredPolicy>> lookup =
-        request.policy_handle.valid() ? registry_.Get(request.policy_handle)
-                                      : registry_.Get(request.policy);
-    if (!lookup.ok()) {
-      results[i] = lookup.status();
-      RecordRequestObs(request, nullptr, lookup.status(), 0.0, 0, 0);
-      continue;
-    }
-    std::shared_ptr<const RegisteredPolicy> entry =
-        std::move(lookup).ValueOrDie();
-    Status domain_ok = CheckDomain(shape, *entry);
-    if (!domain_ok.ok()) {
-      results[i] = domain_ok;
-      RecordRequestObs(request, entry.get(), domain_ok, 0.0, 0, 0);
+    Admission resolved;
+    const Status status = Resolve(request, /*trace=*/nullptr, &resolved);
+    if (!status.ok()) {
+      results[i] = status;
+      RecordRequestObs(request, resolved.entry.get(), status, 0.0, 0, 0);
       continue;
     }
     Group* group = nullptr;
     for (Group& g : groups) {
-      if (g.session == session_ledger && g.entry == entry &&
+      if (g.admission.session_ledger == resolved.session_ledger &&
+          g.admission.entry == resolved.entry &&
           g.prefer_data_dependent == request.prefer_data_dependent) {
         group = &g;
         break;
@@ -1289,8 +1218,7 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
     if (group == nullptr) {
       groups.emplace_back();
       group = &groups.back();
-      group->session = session_ledger;
-      group->entry = std::move(entry);
+      group->admission = std::move(resolved);
       group->prefer_data_dependent = request.prefer_data_dependent;
     }
     group->indices.push_back(i);
@@ -1300,26 +1228,23 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
   }
 
   for (Group& group : groups) {
-    bool cache_hit = false;
+    Admission& admission = group.admission;
+    const RegisteredPolicy* entry = admission.entry.get();
     Result<const ServingState*> state_result =
-        GetOrPlan(*group.entry, group.prefer_data_dependent, &cache_hit);
+        GetOrPlan(*entry, group.prefer_data_dependent, &admission.cache_hit);
     if (!state_result.ok()) {
       for (size_t i : group.indices) {
         results[i] = state_result.status();
-        RecordRequestObs(batch[i], group.entry.get(), state_result.status(),
-                         0.0, 0, 0);
+        RecordRequestObs(batch[i], entry, state_result.status(), 0.0, 0, 0);
       }
       continue;
     }
-    const ServingState& state = **state_result;
+    admission.state = *state_result;
 
     const size_t m = group.indices.size();
     const double epsilon =
         options.disjoint_domains ? group.eps_max : group.eps_sum;
-    const QueryRequest& first = batch[group.indices.front()];
-    const std::string& first_name = first.ranges.has_value()
-                                        ? first.ranges->name()
-                                        : first.workload.name();
+    const std::string& first_name = WorkloadName(batch[group.indices.front()]);
     std::string batch_label;
     ChargeTag tag;
     if (m == 1) {
@@ -1329,14 +1254,13 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
           "batch[" + std::to_string(m) + "] incl. " + first_name;
       tag.workload = batch_label;
     }
-    tag.context = state.plan.audit_context;
+    tag.context = admission.state->plan.audit_context;
     tag.parallel_count =
         options.disjoint_domains ? static_cast<uint32_t>(m) : 1;
 
-    const LedgerHandle ledgers[2] = {group.session, group.entry->ledger};
-    double remaining[2] = {0.0, 0.0};
+    const LedgerHandle ledgers[2] = {admission.session_ledger, entry->ledger};
     const Status charged =
-        accountant_.Charge(ledgers, 2, epsilon, tag, remaining);
+        accountant_.Charge(ledgers, 2, epsilon, tag, admission.remaining);
     if (!charged.ok()) {
       if (charged.code() == StatusCode::kOutOfRange &&
           !options.disjoint_domains && m > 1) {
@@ -1354,7 +1278,7 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
         }
         for (size_t i : group.indices) {
           results[i] = charged;
-          RecordRequestObs(batch[i], group.entry.get(), charged, 0.0, 0, 0);
+          RecordRequestObs(batch[i], entry, charged, 0.0, 0, 0);
         }
       }
       continue;
@@ -1362,11 +1286,7 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
     m_eps_charged_->Add(epsilon);
     bool group_charge_recorded = false;
     for (size_t i : group.indices) {
-      QueryResult result = Release(batch[i], *group.entry, state, cache_hit,
-                                   batch[i].ranges.has_value());
-      result.session_remaining = remaining[0];
-      result.policy_remaining = remaining[1];
-      results[i] = std::move(result);
+      results[i] = Materialize(batch[i], admission);
       // ε attribution matches what the ledgers saw: each entry's own
       // ask under sequential composition (they sum to the charge), the
       // single max-ε charge once per group under parallel composition.
@@ -1375,8 +1295,7 @@ std::vector<Result<QueryResult>> QueryEngine::SubmitBatch(
         entry_epsilon = group_charge_recorded ? 0.0 : epsilon;
         group_charge_recorded = true;
       }
-      RecordRequestObs(batch[i], group.entry.get(), Status::OK(),
-                       entry_epsilon, 0, 0);
+      RecordRequestObs(batch[i], entry, Status::OK(), entry_epsilon, 0, 0);
     }
   }
   return results;

@@ -41,6 +41,9 @@
 // ranges rebuilt — O(q·edges) instead of O(k²·edges)); on any other
 // policy it is answered from the histogram release via a summed-area
 // table. Both paths charge the same ε and state the same guarantee.
+// Submit, SubmitBatch and SubmitStream share one resolve step and one
+// noise-draw dispatch; they differ only in how they pull answers out
+// of the drawn release (all at once, or chunk by chunk).
 //
 // Privacy semantics. Every submit is one sequential-composition step:
 // it spends its ε on the policy's global cap (the data owner's bound
@@ -287,7 +290,7 @@ class QueryEngine {
 
   /// Constructs an engine, surfacing journal recovery failure as a
   /// Status. The plain constructor cannot report one, so it instead
-  /// leaves the engine *poisoned*: every Admit refuses with the
+  /// leaves the engine *poisoned*: every request refuses with the
   /// recovery error and no charge is ever admitted unjournaled. Use
   /// this factory whenever `options.journal_path` is set.
   static Result<std::unique_ptr<QueryEngine>> Open(EngineOptions options);
@@ -405,27 +408,29 @@ class QueryEngine {
       QueryRequest request, const StreamOptions& options = StreamOptions());
 
   /// Streaming admission primitive behind SubmitStream (also used by
-  /// the async pipeline): performs the full Submit admission — ε is
-  /// spent here — draws the submit's noise, fills `header`, and
-  /// returns the resumable cursor over the answers. The request is
-  /// taken by value so its workload moves into the cursor instead of
-  /// being deep-copied (a dense W can be large — streaming exists to
-  /// avoid duplicating exactly that).
+  /// the async pipeline): performs Submit's admission — ε is spent
+  /// here — and draws the noise through Submit's dispatch, then fills
+  /// `header` and wraps the drawn release in a resumable cursor over
+  /// the answers. The request is taken by value so its workload moves
+  /// into the cursor instead of being deep-copied (a dense W can be
+  /// large — streaming exists to avoid duplicating exactly that).
   Result<std::unique_ptr<ChunkCursor>> AdmitStream(
       QueryRequest request, const StreamOptions& options, StreamHeader* header,
       RequestTrace* trace = nullptr);
 
-  /// Executes a batch; entry i is the outcome of request i. Requests
-  /// are grouped by (session, policy, planner options): each group
-  /// resolves its registry snapshot and plan once and charges the
-  /// budget once — Σε_i (sequential composition), or max ε_i when
-  /// `options.disjoint_domains` declares the batch disjoint. A failed
+  /// Executes a batch; entry i is the outcome of request i. Each entry
+  /// passes Submit's resolve step; requests are then grouped by
+  /// (session, policy, planner options), and each group looks up its
+  /// plan once and charges the budget once — Σε_i (sequential
+  /// composition), or max ε_i when `options.disjoint_domains` declares
+  /// the batch disjoint. A failed
   /// entry does not stop the rest of the batch; if a group's combined
   /// sequential charge does not fit, the group degrades to per-entry
   /// charges in batch order (admitting the prefix the budget affords,
   /// exactly as individual Submits would). A disjoint group charges
   /// all-or-nothing: parallel composition covers the whole set or
-  /// none of it.
+  /// none of it. Each admitted entry then draws its own noise through
+  /// Submit's dispatch, so its answers match a lone Submit's.
   std::vector<Result<QueryResult>> SubmitBatch(
       const std::vector<QueryRequest>& batch,
       const BatchOptions& options = BatchOptions());
@@ -469,7 +474,7 @@ class QueryEngine {
 
   /// The composed health probe /healthz serves: 200 (ok) while
   /// charges can be made durable, 503 the moment durability_health()
-  /// refuses — the same fail-closed signal Admit refuses with. The
+  /// refuses — the same fail-closed signal requests refuse with. The
   /// JSON body additionally reports snapshot generation, async queue
   /// depths, active burn alerts, and audit/trace ring drops (context
   /// for the on-call, not part of the up/down decision).
@@ -502,25 +507,47 @@ class QueryEngine {
   TransformCacheStats transform_cache_stats() const;
 
  private:
-  /// Everything Submit establishes before any noise is drawn: the
-  /// resolved snapshot, its serving state, and the already-committed
-  /// charge.
+  /// Everything an entry point establishes before any noise is drawn:
+  /// the resolved session and snapshot, then the snapshot's serving
+  /// state and the committed charge. Submit and SubmitStream build one
+  /// per request; a SubmitBatch group builds one for all its entries.
   struct Admission {
     std::shared_ptr<const RegisteredPolicy> entry;
     const ServingState* state = nullptr;  ///< owned by `entry`
     LedgerHandle session_ledger;
     bool cache_hit = false;
-    bool has_ranges = false;
-    size_t num_queries = 0;
     double remaining[2] = {0.0, 0.0};  ///< post-charge session/policy
   };
 
-  /// The shared admission path of Submit and SubmitStream: validate →
-  /// resolve session and policy → domain check → get-or-plan → atomic
-  /// two-ledger charge. On success ε is spent; the caller must
-  /// release (materialized or streamed). Stages are stamped into
-  /// `trace` when it is active.
+  /// The resolve step every entry point shares: fail closed on a
+  /// poisoned journal → validate → session (ResolveSession, unless the
+  /// request carries a handle) → policy → domain check. Fills
+  /// `admission`'s session ledger and entry; the entry stays set when
+  /// only the domain check failed. Stages are stamped into `trace`
+  /// when it is active.
+  Status Resolve(const QueryRequest& request, RequestTrace* trace,
+                 Admission* admission);
+
+  /// The admission of Submit and SubmitStream: Resolve → get-or-plan →
+  /// atomic two-ledger charge. On success ε is spent; the caller must
+  /// draw the release (DrawRelease).
   Result<Admission> Admit(const QueryRequest& request, RequestTrace* trace);
+
+  /// The noisy release of one request (defined in query_engine.cc).
+  struct Draw;
+
+  /// The one noise-draw dispatch, shared by every entry point: derives
+  /// the submit's private rng stream, then draws either the θ-grid fast
+  /// path's slab releases (a range request on a plan with a range
+  /// mechanism and a matching grid shape) or the histogram estimate x̂,
+  /// and states the guarantee. Runs the journal housekeeping after the
+  /// draw. `admission` must hold a committed charge.
+  Draw DrawRelease(const QueryRequest& request, const Admission& admission);
+
+  /// Submit's and a batch entry's release: DrawRelease, then every
+  /// answer in one go.
+  QueryResult Materialize(const QueryRequest& request,
+                          const Admission& admission);
 
   /// Post-release housekeeping: when the journal has flagged a
   /// checkpoint due (and auto-checkpointing is on), snapshot + compact.
@@ -538,15 +565,6 @@ class QueryEngine {
   /// exist, so it touches the slots without contention.
   void RestoreFromSnapshot();
 
-  /// Draws the submit's noise (its private rng stream) and wraps the
-  /// incremental remainder of the release in a cursor; mirrors
-  /// Release()'s dispatch (grid fast path / summed-area / dense
-  /// rows). Consumes the request's workload (moved into the cursor).
-  std::unique_ptr<ChunkCursor> BuildCursor(QueryRequest request,
-                                           const Admission& admission,
-                                           const StreamOptions& options,
-                                           StreamHeader* header);
-
   /// The snapshot's serving state for one planner option: one atomic
   /// load when warm; when cold, plans and precomputes the release
   /// transform under the slot's single-flight mutex. Counts the
@@ -554,14 +572,6 @@ class QueryEngine {
   Result<const ServingState*> GetOrPlan(const RegisteredPolicy& entry,
                                         bool prefer_data_dependent,
                                         bool* cache_hit);
-
-  /// One release continuing from a charged budget: derives the
-  /// submit's private rng stream, dispatches range fast path /
-  /// precomputed dense / plain Run.
-  QueryResult Release(const QueryRequest& request,
-                      const RegisteredPolicy& entry,
-                      const ServingState& state, bool cache_hit,
-                      bool has_ranges);
 
   /// The bounded-cardinality tenant label of a session id: the prefix
   /// before the first ':', '/', '#', or '@' — the conventional
@@ -601,8 +611,9 @@ class QueryEngine {
   /// accountant -> journal -> telemetry.
   std::unique_ptr<LedgerJournal> journal_;
   /// Set when the plain constructor could not open/recover the
-  /// journal: the engine is poisoned and Admit refuses every request
-  /// with this status (fail closed — never serve unjournaled charges).
+  /// journal: the engine is poisoned and Resolve refuses every
+  /// request with this status (fail closed — never serve unjournaled
+  /// charges).
   Status journal_error_;
   PolicyRegistry registry_;
   BudgetAccountant accountant_;

@@ -124,6 +124,42 @@ TEST(EngineDeterminism, BatchIsDeterministicAcrossInstances) {
   }
 }
 
+TEST(EngineDeterminism, SingleGroupBatchMatchesSequentialSubmits) {
+  // One (session, policy) group mixing dense and slab-ranged entries:
+  // the batch charges once, but each entry draws the same stream
+  // through the same dispatch as the equivalent lone Submit.
+  QueryEngine batched(Seeded(11));
+  QueryEngine sequential(Seeded(11));
+  RegisterAll(&batched);
+  RegisterAll(&sequential);
+
+  const std::vector<QueryRequest> batch = {
+      Dense("slab", 64, 0.5), Ranged("slab", 0.25), Dense("slab", 64, 0.125),
+      Ranged("slab", 0.25),
+  };
+  const auto grouped = batched.SubmitBatch(batch);
+  std::vector<QueryResult> lone;
+  for (const QueryRequest& request : batch) {
+    lone.push_back(sequential.Submit(request).ValueOrDie());
+  }
+  ASSERT_EQ(grouped.size(), lone.size());
+  EXPECT_FALSE(lone[0].range_fast_path);
+  EXPECT_TRUE(lone[1].range_fast_path);
+  for (size_t i = 0; i < lone.size(); ++i) {
+    ASSERT_TRUE(grouped[i].ok());
+    const QueryResult& a = grouped[i].ValueOrDie();
+    const QueryResult& b = lone[i];
+    ExpectBitIdentical(a.answers, b.answers);
+    EXPECT_EQ(a.guarantee.neighbor_model, b.guarantee.neighbor_model);
+    EXPECT_EQ(a.range_fast_path, b.range_fast_path);
+    EXPECT_EQ(a.plan_kind, b.plan_kind);
+    // The group's one charge leaves both ledgers where the last lone
+    // Submit leaves them (dyadic ε, so the sums are exact).
+    EXPECT_EQ(a.session_remaining, lone.back().session_remaining);
+    EXPECT_EQ(a.policy_remaining, lone.back().policy_remaining);
+  }
+}
+
 TEST(EngineDeterminism, DistinctSubmitsUseDistinctStreams) {
   QueryEngine engine(Seeded(3));
   RegisterAll(&engine);

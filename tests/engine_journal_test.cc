@@ -741,9 +741,58 @@ TEST_F(JournalTest, CorruptJournalPoisonsEngineFailClosed) {
   request.epsilon = 0.01;
   Result<QueryResult> refused = engine.Submit(request);
   ASSERT_FALSE(refused.ok());
+  // Every entry point shares the fail-closed resolve step: a batch or
+  // a stream must not charge the unjournaled accountant either.
+  for (const Result<QueryResult>& entry :
+       engine.SubmitBatch({request, request})) {
+    EXPECT_EQ(entry.status().code(), refused.status().code());
+  }
+  EXPECT_EQ(engine.SubmitStream(request).status().code(),
+            refused.status().code());
+  EXPECT_EQ(engine.SessionRemaining("alice").ValueOrDie(), 3.0);
 
   (void)PosixJournalIo()->Remove(path);
   (void)PosixJournalIo()->Remove(dir_ + "/" + JournalSegmentName(2));
+}
+
+TEST_F(JournalTest, AutoCheckpointFiresFromEverySubmitPath) {
+  // A tiny active segment makes a checkpoint due every few charges;
+  // traffic through any one entry point alone must compact it.
+  EngineOptions options;
+  options.seed = 5;
+  options.journal_path = dir_;
+  options.journal_segment_bytes = 256;
+  auto engine = QueryEngine::Open(options).ValueOrDie();
+  ASSERT_TRUE(engine->RegisterPolicy("salaries", LinePolicy(16), Ramp(16, 13),
+                                     100.0)
+                  .ok());
+  ASSERT_TRUE(engine->OpenSession("alice", 100.0).ok());
+  QueryRequest request;
+  request.session = "alice";
+  request.policy = "salaries";
+  request.workload = IdentityWorkload(16);
+  request.epsilon = 0.01;
+  const auto checkpoints = [&] {
+    return engine->journal()->stats().checkpoints;
+  };
+
+  uint64_t before = checkpoints();
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(engine->Submit(request).ok());
+  EXPECT_GT(checkpoints(), before) << "Submit-only traffic";
+
+  before = checkpoints();
+  const std::vector<QueryRequest> batch(4, request);
+  for (int i = 0; i < 8; ++i) {
+    for (const Result<QueryResult>& entry : engine->SubmitBatch(batch)) {
+      ASSERT_TRUE(entry.ok());
+    }
+  }
+  EXPECT_GT(checkpoints(), before) << "SubmitBatch-only traffic";
+
+  before = checkpoints();
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(engine->SubmitStream(request).ok());
+  EXPECT_GT(checkpoints(), before) << "SubmitStream-only traffic";
+  EXPECT_TRUE(engine->durability_health().ok());
 }
 
 // ------------------------------------------------- audit JSONL replay

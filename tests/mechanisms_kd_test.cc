@@ -63,6 +63,33 @@ TEST(GridTheta, UnbiasedUnderNoise) {
   }
 }
 
+TEST(GridTheta, CursorBlocksMatchOneShotAnswers) {
+  // The cursor draws the same releases as the one-shot call from the
+  // same rng stream; answering in uneven blocks must not change a bit.
+  const size_t k = 8;
+  auto mech = GridThetaRangeMechanism::Create(k, 4).ValueOrDie();
+  const DomainShape domain({k, k});
+  Rng data_rng(5);
+  Vector x(domain.size());
+  for (double& v : x) v = static_cast<double>(data_rng.UniformInt(0, 9));
+  const RangeWorkload w = RandomRanges(domain, 23, &data_rng);
+  const Vector xg = mech->PrecomputeTransformed(x);
+
+  Rng one_shot_rng(9);
+  const Vector one_shot =
+      mech->AnswerRangesOnTransformed(w, xg, Sum(x), 0.5, &one_shot_rng);
+  Rng cursor_rng(9);
+  auto cursor = mech->BeginRanges(xg, Sum(x), 0.5, &cursor_rng);
+  Vector blocks;
+  while (cursor->AnswerNext(w, 5, &blocks) > 0) {
+  }
+  EXPECT_EQ(cursor->position(), w.num_queries());
+  ASSERT_EQ(blocks.size(), one_shot.size());
+  for (size_t i = 0; i < one_shot.size(); ++i) {
+    EXPECT_EQ(blocks[i], one_shot[i]) << "query " << i;
+  }
+}
+
 namespace {
 
 // Mean per-query squared error of the slab mechanism / Privelet pair
