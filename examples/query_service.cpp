@@ -287,15 +287,14 @@ int main() {
   std::printf("metrics snapshot:\n%s\n",
               telemetry.metrics().SnapshotJson().c_str());
   std::printf("last epsilon-audit events (of %llu):\n",
-              static_cast<unsigned long long>(
-                  telemetry.audit().total_events()));
+              static_cast<unsigned long long>(telemetry.audit().total()));
   // Print only the tail; ExportJsonl() is what a service would
   // persist on crash or rotation.
   const std::vector<AuditEvent> events = telemetry.audit().Snapshot();
   std::string tail;
   for (size_t i = events.size() > 3 ? events.size() - 3 : 0;
        i < events.size(); ++i) {
-    EpsilonAuditLog::AppendJsonl(events[i], &tail);
+    AppendJsonl(events[i], &tail);
   }
   std::printf("%s", tail.c_str());
   return 0;

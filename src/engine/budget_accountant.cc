@@ -1,7 +1,6 @@
 #include "engine/budget_accountant.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -10,10 +9,7 @@ namespace blowfish {
 
 namespace {
 int64_t BurnClockMicros(const BurnRateConfig& config) {
-  if (config.now_micros) return config.now_micros();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
+  return config.now_micros ? config.now_micros() : WallMicros();
 }
 }  // namespace
 
@@ -73,6 +69,7 @@ void BudgetAccountant::UpdateBurn(Slot* slot, double epsilon,
   if (alerting == slot->burn.alerting) return;
   slot->burn.alerting = alerting;
   burn_active_.fetch_add(alerting ? 1 : -1, std::memory_order_relaxed);
+  if (alerting) burn_fired_.fetch_add(1, std::memory_order_relaxed);
   if (burn_alerts_ == nullptr) return;
   BurnAlert alert;
   alert.fired = alerting;
@@ -82,7 +79,7 @@ void BudgetAccountant::UpdateBurn(Slot* slot, double epsilon,
   alert.fast_rate = fast_rate;
   alert.slow_rate = slow_rate;
   alert.projected_s = projected_fast;
-  burn_alerts_->Append(std::move(alert));
+  burn_alerts_->Push(std::move(alert));
 }
 
 void BudgetAccountant::RetireBurn(Slot* slot) {
@@ -95,7 +92,7 @@ void BudgetAccountant::RetireBurn(Slot* slot) {
       alert.ledger_id = slot->id;
       alert.remaining =
           slot->budget.has_value() ? slot->budget->remaining() : 0.0;
-      burn_alerts_->Append(std::move(alert));
+      burn_alerts_->Push(std::move(alert));
     }
   }
   slot->burn = BurnState{};
@@ -419,6 +416,7 @@ void BudgetAccountant::RecordAudit(const LedgerHandle* handles, size_t count,
                                    const double* balances) {
   if (audit_log_ == nullptr || !audit_log_->enabled()) return;
   AuditEvent event;
+  event.wall_micros = WallMicros();
   event.charged = charged;
   event.refusal = refusal;
   event.epsilon = epsilon;
@@ -433,7 +431,7 @@ void BudgetAccountant::RecordAudit(const LedgerHandle* handles, size_t count,
     line.remaining =
         balances != nullptr ? balances[i] : slot->budget->remaining();
   }
-  audit_log_->Append(std::move(event));
+  audit_log_->Push(std::move(event));
 }
 
 Status BudgetAccountant::Charge(const std::vector<std::string>& ids,

@@ -178,14 +178,14 @@ class BudgetAccountant {
   /// The ledger's human-readable audit trail; kNotFound if absent.
   Result<std::string> Audit(const std::string& id) const;
 
-  /// Attaches the engine's ε-audit event log (not owned; the engine
+  /// Attaches the engine's ε-audit event ring (not owned; the engine
   /// guarantees it outlives the accountant). Charge() appends one
   /// spend event per successful charge and one refusal event per
   /// budget/stale refusal *while still holding the involved shard
   /// locks* — so the log's per-ledger event order is exactly each
   /// ledger's spend order, and replaying `spent += ε` over a ledger's
   /// events reproduces its balance bit-for-bit. Null detaches.
-  void SetAuditLog(EpsilonAuditLog* log) { audit_log_ = log; }
+  void SetAuditLog(BoundedRing<AuditEvent>* log) { audit_log_ = log; }
 
   /// Attaches the crash-safe spend journal (not owned; the engine
   /// guarantees it outlives the accountant). With a journal attached:
@@ -214,20 +214,25 @@ class BudgetAccountant {
   Status WriteCheckpoint() NO_THREAD_SAFETY_ANALYSIS;
 
   /// Configures per-ledger ε burn-rate tracking and attaches the
-  /// alert ring (not owned; null log tracks rates but emits nothing).
+  /// alert ring (not owned; null ring tracks rates but records
+  /// nothing).
   /// Burn state updates happen inside Charge's commit loop under the
   /// same shard locks that order audit events, so the alert stream
   /// interleaves consistently with the spend record. Call before
   /// traffic (the engine wires it at construction).
-  void SetBurnRate(BurnRateConfig config, BurnAlertLog* alerts) {
+  void SetBurnRate(BurnRateConfig config, BoundedRing<BurnAlert>* alerts) {
     burn_config_ = std::move(config);
     burn_alerts_ = alerts;
   }
 
-  /// Ledgers currently in the alerting state (for the health report;
-  /// mirrors BurnAlertLog::active when a log is attached).
+  /// Ledgers currently in the alerting state (for the health report).
   int64_t burn_alerts_active() const {
     return burn_active_.load(std::memory_order_relaxed);
+  }
+  /// Alerts fired over the accountant's lifetime (the alert counter
+  /// metric), whether or not an alert ring is attached.
+  uint64_t burn_alerts_fired() const {
+    return burn_fired_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -311,11 +316,12 @@ class BudgetAccountant {
   void RetireBurn(Slot* slot) NO_THREAD_SAFETY_ANALYSIS;
 
   Shard shards_[kShardCount];
-  EpsilonAuditLog* audit_log_ = nullptr;
+  BoundedRing<AuditEvent>* audit_log_ = nullptr;
   LedgerJournal* journal_ = nullptr;
   BurnRateConfig burn_config_;
-  BurnAlertLog* burn_alerts_ = nullptr;
+  BoundedRing<BurnAlert>* burn_alerts_ = nullptr;
   std::atomic<int64_t> burn_active_{0};
+  std::atomic<uint64_t> burn_fired_{0};
 };
 
 }  // namespace blowfish

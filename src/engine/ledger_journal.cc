@@ -168,12 +168,6 @@ bool DecodeRecord(const char* data, size_t n, JournalRecord* rec) {
   return r.done();  // trailing bytes under a valid CRC are corruption
 }
 
-int64_t WallMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
 bool IsSegmentName(const std::string& name) {
   // journal-<16 hex>.bfj — fixed width, so lexicographic order is
   // start-seq order.

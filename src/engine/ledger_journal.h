@@ -25,7 +25,7 @@
 //   [u32 payload_len][u32 masked_crc32c(payload)][payload]
 //
 // A payload is one record — spend, refusal, or checkpoint — carrying
-// the same fields as the EpsilonAuditLog event (ε, parallel count,
+// the same fields as the ε-audit ring's AuditEvent (ε, parallel count,
 // workload tag, shared plan context, per-ledger post-charge balances)
 // plus a dense monotonic seq. All integers are little-endian; doubles
 // are IEEE bit patterns, so replay is bit-exact.

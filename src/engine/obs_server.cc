@@ -165,16 +165,18 @@ void ObsServer::HandleConnection(int fd) {
     WriteResponse(fd, report.ok ? 200 : 503,
                   report.ok ? "OK" : "Service Unavailable",
                   "application/json", report.body);
-  } else if (path == "/flightz" && handlers_.flightz_jsonl) {
-    WriteResponse(fd, 200, "OK", "application/x-ndjson",
-                  handlers_.flightz_jsonl());
+  } else if (const auto it = handlers_.jsonl.find(path);
+             it != handlers_.jsonl.end()) {
+    WriteResponse(fd, 200, "OK", "application/x-ndjson", it->second());
   } else if (path == "/" || path == "/index.html") {
     WriteResponse(fd, 200, "OK", "text/plain",
                   "blowfish engine obs server\n"
                   "  /metrics   Prometheus text exposition\n"
                   "  /varz      metrics snapshot (JSON)\n"
                   "  /healthz   composed health report (200/503)\n"
-                  "  /flightz   flight-recorder dump (JSONL)\n");
+                  "  /flightz   flight-recorder dump (JSONL)\n"
+                  "  /auditz    epsilon-audit ring (JSONL)\n"
+                  "  /burnz     burn-alert ring (JSONL)\n");
   } else {
     WriteResponse(fd, 404, "Not Found", "text/plain",
                   "unknown path: " + path + "\n");

@@ -10,6 +10,8 @@
 //              durable, 503 once the journal is poisoned (the same
 //              fail-closed signal Admit refuses with)
 //   /flightz   the flight recorder's JSONL dump
+//   /auditz    the ε-audit ring's JSONL export (ReplayJsonl-checkable)
+//   /burnz     the burn-alert ring's JSONL export
 //
 // This is an ops plane, not a data plane: it binds 127.0.0.1 only,
 // never reads request bodies, and serves nothing derived from raw
@@ -19,7 +21,7 @@
 // is to make the engine observable the day that broker ships.
 //
 // Handlers run on the listener thread, one request at a time. They
-// take component locks (registry mutex, audit mutex) but must never
+// take component locks (registry mutex, ring mutexes) but must never
 // block on engine work — every handler here snapshots and returns.
 
 #ifndef BLOWFISH_ENGINE_OBS_SERVER_H_
@@ -27,6 +29,7 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -42,12 +45,13 @@ struct HealthReport {
   std::string body;
 };
 
-/// \brief The four endpoint producers. Unset handlers 404.
+/// \brief The endpoint producers. Unset handlers 404.
 struct ObsHandlers {
-  std::function<std::string()> metrics_text;   ///< /metrics
-  std::function<std::string()> varz_json;      ///< /varz
-  std::function<HealthReport()> healthz;       ///< /healthz
-  std::function<std::string()> flightz_jsonl;  ///< /flightz
+  std::function<std::string()> metrics_text;  ///< /metrics
+  std::function<std::string()> varz_json;     ///< /varz
+  std::function<HealthReport()> healthz;      ///< /healthz
+  /// Path -> JSONL body (/flightz, /auditz, /burnz).
+  std::map<std::string, std::function<std::string()>> jsonl;
 };
 
 /// \brief Minimal blocking HTTP/1.0 scrape server. Start() binds

@@ -72,12 +72,6 @@ uint32_t Micros(std::chrono::steady_clock::duration elapsed) {
       std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
 }
 
-int64_t WallMicrosNow() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
 void AppendHealthzString(std::string_view s, std::string* out) {
   out->push_back('"');
   for (const char c : s) {
@@ -99,11 +93,9 @@ QueryEngine::QueryEngine(EngineOptions options)
     : options_(std::move(options)),
       seed_(options_.seed.has_value() ? *options_.seed : Rng::EntropySeed()),
       telemetry_(options_.trace_sample_rate, options_.audit_log_capacity,
-                 /*trace_ring_capacity=*/256,
-                 options_.flight_recorder_capacity,
-                 options_.burn_alert_capacity) {
+                 options_.flight_recorder_capacity) {
   // Every spend/refusal the accountant decides lands in the audit
-  // ring, appended under the charge's shard locks (see telemetry.h
+  // ring, pushed under the charge's shard locks (see telemetry.h
   // for the ordering guarantee that buys).
   accountant_.SetAuditLog(&telemetry_.audit());
 
@@ -202,9 +194,6 @@ QueryEngine::QueryEngine(EngineOptions options)
   metrics.gauge_callback("engine_plan_cache_misses", [this] {
     return static_cast<double>(plan_misses_.load(std::memory_order_relaxed));
   });
-  metrics.gauge_callback("engine_plan_cache_entries", [this] {
-    return static_cast<double>(transform_cache_stats().entries);
-  });
   metrics.gauge_callback("engine_transform_cache_entries", [this] {
     return static_cast<double>(transform_cache_stats().entries);
   });
@@ -219,15 +208,12 @@ QueryEngine::QueryEngine(EngineOptions options)
     return static_cast<double>(sessions_.size());
   });
   metrics.gauge_callback("engine_audit_events_total", [this] {
-    return static_cast<double>(telemetry_.audit().total_events());
+    return static_cast<double>(telemetry_.audit().total());
   });
-  metrics.gauge_callback("engine_audit_events_dropped", [this] {
-    return static_cast<double>(telemetry_.audit().dropped());
-  });
-  // Short alias for the drop counter: events lost to ring wrap-around
-  // are exactly the spends a JSONL export can no longer replay, so
-  // dashboards alert on this name (nonzero = widen the ring or attach
-  // a sink; the crash journal is unaffected — it never drops).
+  // Events lost to ring wrap-around are exactly the spends a JSONL
+  // export can no longer replay, so dashboards alert on this name
+  // (nonzero = widen the ring or scrape /auditz more often; the crash
+  // journal is unaffected — it never drops).
   metrics.gauge_callback("engine_audit_dropped", [this] {
     return static_cast<double>(telemetry_.audit().dropped());
   });
@@ -236,13 +222,11 @@ QueryEngine::QueryEngine(EngineOptions options)
   // read them (widen the ring or export more often).
   metrics.gauge_callback(
       "engine_trace_dropped",
-      [this] { return static_cast<double>(telemetry_.trace_dropped()); },
+      [this] { return static_cast<double>(telemetry_.traces().dropped()); },
       "Sampled traces lost to trace-ring wrap-around");
   metrics.gauge_callback(
       "engine_burn_alerts_fired_total",
-      [this] {
-        return static_cast<double>(telemetry_.burn_alerts().fired_total());
-      },
+      [this] { return static_cast<double>(accountant_.burn_alerts_fired()); },
       "Burn-rate alerts fired: a ledger's two-window spend rate "
       "projected exhaustion inside the alert horizon");
   metrics.gauge_callback(
@@ -303,7 +287,15 @@ QueryEngine::QueryEngine(EngineOptions options)
     };
     handlers.varz_json = [this] { return telemetry_.metrics().SnapshotJson(); };
     handlers.healthz = [this] { return Healthz(); };
-    handlers.flightz_jsonl = [this] { return telemetry_.flight().DumpJsonl(); };
+    handlers.jsonl["/flightz"] = [this] {
+      return telemetry_.flight().DumpJsonl();
+    };
+    handlers.jsonl["/auditz"] = [this] {
+      return telemetry_.audit().ExportJsonl();
+    };
+    handlers.jsonl["/burnz"] = [this] {
+      return telemetry_.burn_alerts().ExportJsonl();
+    };
     Result<std::unique_ptr<ObsServer>> server =
         ObsServer::Start(options_.obs_port, std::move(handlers));
     if (server.ok()) {
@@ -346,7 +338,7 @@ HealthReport QueryEngine::Healthz() const {
   body += ",\"audit_dropped\":";
   body += std::to_string(telemetry_.audit().dropped());
   body += ",\"trace_dropped\":";
-  body += std::to_string(telemetry_.trace_dropped());
+  body += std::to_string(telemetry_.traces().dropped());
   body += ",\"flight_incident\":";
   body += telemetry_.flight().incident_fired() ? "true" : "false";
   // Async lane depths exist only when an AsyncQueryEngine registered
@@ -442,7 +434,7 @@ void QueryEngine::RecordRequestObs(const QueryRequest& request,
   FlightRecorder& flight = telemetry_.flight();
   if (flight.enabled()) {
     FlightRecord record;
-    record.t_us = WallMicrosNow();
+    record.t_us = WallMicros();
     record.epsilon = request.epsilon;
     record.admit_us = admit_us;
     record.total_us = total_us;

@@ -136,10 +136,11 @@ struct EngineOptions {
   // ---- operability-plane knobs (see engine/obs_server.h) ----
 
   /// TCP port of the in-process scrape server (/metrics, /varz,
-  /// /healthz, /flightz on 127.0.0.1). -1 (default) disables it; 0
-  /// binds an ephemeral port (tests/benches — obs_server()->port()
-  /// reports what was bound). A bind failure never fails the engine:
-  /// obs_server() stays null and obs_error() carries the reason.
+  /// /healthz, /flightz, /auditz, /burnz on 127.0.0.1). -1 (default)
+  /// disables it; 0 binds an ephemeral port (tests/benches —
+  /// obs_server()->port() reports what was bound). A bind failure
+  /// never fails the engine: obs_server() stays null and obs_error()
+  /// carries the reason.
   int obs_port = -1;
   /// Distinct (policy, tenant) label tuples each per-tenant metric
   /// family retains before collapsing new tuples into one `other`
@@ -168,9 +169,6 @@ struct EngineOptions {
   /// Alert when both windows' spend rates project ledger exhaustion
   /// within this horizon.
   double burn_alert_horizon_s = 600.0;
-  /// Alerts retained by the burn-alert ring (fired + cleared events,
-  /// JSONL-exportable). The active/fired counters work regardless.
-  size_t burn_alert_capacity = 256;
   /// Test seam: burn-rate clock (wall micros). Null uses the system
   /// clock. Lets a test script an exact spend schedule and pin the
   /// exact charge on which an alert trips.

@@ -1,7 +1,6 @@
 #include "engine/telemetry.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -13,12 +12,6 @@
 namespace blowfish {
 
 namespace {
-
-int64_t WallMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
 
 /// %.17g: the shortest printf format guaranteed to round-trip an IEEE
 /// double exactly — the audit log's balances must reconcile bit-level
@@ -180,115 +173,73 @@ bool MetricsRegistry::EntryIsEmpty(const Entry& entry) const {
          entry.histogram_family == nullptr;
 }
 
+template <typename M, typename... Args>
+M* MetricsRegistry::GetOrCreate(std::unique_ptr<M> Entry::*slot,
+                                const std::string& name,
+                                std::string_view help, Args&&... args) {
+  Entry& entry = entries_[name];
+  std::unique_ptr<M>& metric = entry.*slot;
+  if (metric == nullptr) {
+    BF_CHECK_MSG(EntryIsEmpty(entry),
+                 "metric '" << name << "' registered with another type");
+    metric = std::make_unique<M>(std::forward<Args>(args)...);
+  }
+  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
+  return metric.get();
+}
+
 Counter* MetricsRegistry::counter(const std::string& name,
                                   std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  if (entry.counter == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.counter = std::make_unique<Counter>();
-  }
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.counter.get();
+  return GetOrCreate(&Entry::counter, name, help);
 }
 
 DoubleCounter* MetricsRegistry::double_counter(const std::string& name,
                                                std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  if (entry.double_counter == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.double_counter = std::make_unique<DoubleCounter>();
-  }
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.double_counter.get();
+  return GetOrCreate(&Entry::double_counter, name, help);
 }
 
 Gauge* MetricsRegistry::gauge(const std::string& name, std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  if (entry.gauge == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.gauge = std::make_unique<Gauge>();
-  }
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.gauge.get();
+  return GetOrCreate(&Entry::gauge, name, help);
 }
 
 LatencyHistogram* MetricsRegistry::histogram(const std::string& name,
                                              std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  if (entry.histogram == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.histogram = std::make_unique<LatencyHistogram>();
-  }
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.histogram.get();
+  return GetOrCreate(&Entry::histogram, name, help);
 }
 
 void MetricsRegistry::gauge_callback(const std::string& name,
                                      std::function<double()> fn,
                                      std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  BF_CHECK_MSG(entry.counter == nullptr && entry.double_counter == nullptr &&
-                   entry.gauge == nullptr && entry.histogram == nullptr &&
-                   entry.counter_family == nullptr &&
-                   entry.double_counter_family == nullptr &&
-                   entry.histogram_family == nullptr,
-               "metric '" << name << "' registered with another type");
-  entry.callback = std::move(fn);
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
+  *GetOrCreate(&Entry::callback, name, help) = std::move(fn);
 }
 
 CounterFamily* MetricsRegistry::counter_family(
     const std::string& name, std::vector<std::string> label_names,
     size_t max_series, std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  if (entry.counter_family == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.counter_family =
-        std::make_unique<CounterFamily>(std::move(label_names), max_series);
-  }
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.counter_family.get();
+  return GetOrCreate(&Entry::counter_family, name, help,
+                     std::move(label_names), max_series);
 }
 
 DoubleCounterFamily* MetricsRegistry::double_counter_family(
     const std::string& name, std::vector<std::string> label_names,
     size_t max_series, std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  if (entry.double_counter_family == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.double_counter_family = std::make_unique<DoubleCounterFamily>(
-        std::move(label_names), max_series);
-  }
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.double_counter_family.get();
+  return GetOrCreate(&Entry::double_counter_family, name, help,
+                     std::move(label_names), max_series);
 }
 
 HistogramFamily* MetricsRegistry::histogram_family(
     const std::string& name, std::vector<std::string> label_names,
     size_t max_series, std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = entries_[name];
-  if (entry.histogram_family == nullptr) {
-    BF_CHECK_MSG(EntryIsEmpty(entry),
-                 "metric '" << name << "' registered with another type");
-    entry.histogram_family =
-        std::make_unique<HistogramFamily>(std::move(label_names), max_series);
-  }
-  if (entry.help.empty()) entry.help.assign(help.data(), help.size());
-  return entry.histogram_family.get();
+  return GetOrCreate(&Entry::histogram_family, name, help,
+                     std::move(label_names), max_series);
 }
 
 bool MetricsRegistry::TryReadValue(const std::string& name,
@@ -312,12 +263,11 @@ bool MetricsRegistry::TryReadValue(const std::string& name,
       return true;
     }
     if (entry.callback == nullptr) return false;
-    callback = entry.callback;
+    callback = *entry.callback;
   }
-  // The callback may take its component's locks; run it outside the
-  // registry mutex like the snapshotting paths do not — those hold
-  // mu_, which is fine because callbacks never re-enter the registry;
-  // copying out here keeps this reader just as safe with less nesting.
+  // The callback runs outside mu_: it may take its component's locks,
+  // and this reader (unlike the snapshot paths) needs no registry state
+  // while it runs.
   *out = callback();
   return true;
 }
@@ -413,7 +363,7 @@ std::string MetricsRegistry::SnapshotJson() const {
       if (entry.gauge != nullptr) {
         AppendI64(entry.gauge->value(), &gauges);
       } else {
-        AppendDouble(entry.callback(), &gauges);
+        AppendDouble((*entry.callback)(), &gauges);
       }
     } else if (entry.histogram != nullptr) {
       const HistogramSnapshot snap = entry.histogram->Snapshot();
@@ -526,7 +476,7 @@ std::string MetricsRegistry::PrometheusText() const {
       if (entry.gauge != nullptr) {
         AppendI64(entry.gauge->value(), &out);
       } else {
-        AppendDouble(entry.callback(), &out);
+        AppendDouble((*entry.callback)(), &out);
       }
       out.append("\n");
     } else if (entry.histogram != nullptr) {
@@ -579,64 +529,29 @@ const char* TraceStageName(TraceStage stage) {
   return "?";
 }
 
+void AppendJsonl(const TraceRecord& record, std::string* out) {
+  out->append("{\"trace_id\":");
+  AppendU64(record.trace_id, out);
+  out->append(",\"t_us\":");
+  AppendI64(record.wall_micros, out);
+  out->append(",\"ok\":");
+  out->append(record.ok ? "true" : "false");
+  out->append(",\"stages\":{");
+  bool first = true;
+  for (size_t i = 0; i < kTraceStageCount; ++i) {
+    if (record.stage_ms[i] < 0.0) continue;
+    if (!first) out->append(",");
+    first = false;
+    AppendJsonString(TraceStageName(static_cast<TraceStage>(i)), out);
+    out->append(":");
+    AppendDouble(record.stage_ms[i], out);
+  }
+  out->append("}}\n");
+}
+
 // ------------------------------------------------------------ ε audit
 
-EpsilonAuditLog::EpsilonAuditLog(size_t capacity) : capacity_(capacity) {
-  // Pre-size the ring so steady-state appends reuse slots (their
-  // strings keep capacity) instead of growing the vector mid-charge.
-  ring_.reserve(capacity_);
-}
-
-void EpsilonAuditLog::Append(AuditEvent event) {
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  event.seq = ++total_;
-  // system_clock can step backwards (NTP slew, VM migration); audit
-  // consumers replay by (seq, t_us), so clamp against the previous
-  // event to keep the ring's timestamps non-decreasing.
-  event.wall_micros = std::max(WallMicros(), last_wall_micros_);
-  last_wall_micros_ = event.wall_micros;
-  const size_t slot = static_cast<size_t>((event.seq - 1) % capacity_);
-  if (slot < ring_.size()) {
-    ring_[slot] = std::move(event);
-  } else {
-    ring_.push_back(std::move(event));
-  }
-  if (sink_) sink_(ring_[slot]);
-}
-
-void EpsilonAuditLog::SetSink(std::function<void(const AuditEvent&)> sink) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sink_ = std::move(sink);
-}
-
-std::vector<AuditEvent> EpsilonAuditLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<AuditEvent> out;
-  out.reserve(ring_.size());
-  if (total_ <= capacity_) {
-    out.assign(ring_.begin(), ring_.end());
-    return out;
-  }
-  // Wrapped: the oldest retained event sits right after the newest.
-  const size_t start = static_cast<size_t>(total_ % capacity_);
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
-}
-
-uint64_t EpsilonAuditLog::total_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-uint64_t EpsilonAuditLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_ > capacity_ ? total_ - capacity_ : 0;
-}
-
-void EpsilonAuditLog::AppendJsonl(const AuditEvent& event, std::string* out) {
+void AppendJsonl(const AuditEvent& event, std::string* out) {
   out->append("{\"seq\":");
   AppendU64(event.seq, out);
   out->append(",\"t_us\":");
@@ -683,15 +598,7 @@ void EpsilonAuditLog::AppendJsonl(const AuditEvent& event, std::string* out) {
   out->append("]}\n");
 }
 
-std::string EpsilonAuditLog::ExportJsonl() const {
-  std::string out;
-  for (const AuditEvent& event : Snapshot()) {
-    AppendJsonl(event, &out);
-  }
-  return out;
-}
-
-JsonlReplayReport EpsilonAuditLog::ReplayJsonl(std::string_view jsonl) {
+JsonlReplayReport ReplayJsonl(std::string_view jsonl) {
   JsonlReplayReport report;
   static constexpr std::string_view kSeqPrefix = "{\"seq\":";
   size_t pos = 0;
@@ -704,37 +611,38 @@ JsonlReplayReport EpsilonAuditLog::ReplayJsonl(std::string_view jsonl) {
     pos = eol + 1;
     if (line.empty()) continue;
     // AppendJsonl always emits seq as the first field, so a bounded
-    // prefix parse is exact — no JSON parser needed.
+    // prefix parse is exact — no JSON parser needed. A seq that does
+    // not fit in 64 bits is malformed, never wrapped into range.
     uint64_t seq = 0;
     size_t digits = 0;
+    bool overflow = false;
     if (line.substr(0, kSeqPrefix.size()) == kSeqPrefix) {
-      size_t i = kSeqPrefix.size();
-      while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-        seq = seq * 10 + static_cast<uint64_t>(line[i] - '0');
-        ++i;
+      for (size_t i = kSeqPrefix.size();
+           i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
+        const uint64_t digit = static_cast<uint64_t>(line[i] - '0');
+        overflow = overflow || seq > (UINT64_MAX - digit) / 10;
+        seq = seq * 10 + digit;
         ++digits;
       }
     }
-    if (digits == 0) {
+    if (digits == 0 || digits > 20 || overflow) {
       report.errors.push_back("line " + std::to_string(line_no) +
-                              ": malformed event (no leading seq field)");
+                              ": malformed event (no leading 64-bit seq)");
+      continue;
+    }
+    if (report.last_seq != 0 && seq <= report.last_seq) {
+      report.errors.push_back("line " + std::to_string(line_no) + ": seq " +
+                              std::to_string(seq) +
+                              " not after previous seq " +
+                              std::to_string(report.last_seq) +
+                              " (duplicate or out-of-order event)");
       continue;
     }
     ++report.events;
     if (report.first_seq == 0) report.first_seq = seq;
-    if (report.last_seq != 0) {
-      if (seq <= report.last_seq) {
-        report.errors.push_back("line " + std::to_string(line_no) + ": seq " +
-                                std::to_string(seq) +
-                                " not after previous seq " +
-                                std::to_string(report.last_seq) +
-                                " (duplicate or out-of-order event)");
-        continue;
-      }
-      if (seq != report.last_seq + 1) {
-        ++report.seq_gaps;
-        report.missing_events += seq - report.last_seq - 1;
-      }
+    if (report.last_seq != 0 && seq != report.last_seq + 1) {
+      ++report.seq_gaps;
+      report.missing_events += seq - report.last_seq - 1;
     }
     report.last_seq = seq;
   }
@@ -903,51 +811,7 @@ std::string FlightRecorder::DumpJsonl() const {
 
 // ------------------------------------------------- ε burn-rate alerts
 
-BurnAlertLog::BurnAlertLog(size_t capacity) : capacity_(capacity) {
-  ring_.reserve(capacity_);
-}
-
-void BurnAlertLog::Append(BurnAlert alert) {
-  if (alert.fired) {
-    fired_.fetch_add(1, std::memory_order_relaxed);
-    active_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    active_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  alert.seq = ++total_;
-  alert.wall_micros = std::max(alert.wall_micros, last_wall_micros_);
-  last_wall_micros_ = alert.wall_micros;
-  const size_t slot = static_cast<size_t>((alert.seq - 1) % capacity_);
-  if (slot < ring_.size()) {
-    ring_[slot] = std::move(alert);
-  } else {
-    ring_.push_back(std::move(alert));
-  }
-}
-
-std::vector<BurnAlert> BurnAlertLog::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<BurnAlert> out;
-  out.reserve(ring_.size());
-  if (total_ <= capacity_) {
-    out.assign(ring_.begin(), ring_.end());
-    return out;
-  }
-  const size_t start = static_cast<size_t>(total_ % capacity_);
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
-}
-
-uint64_t BurnAlertLog::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-void BurnAlertLog::AppendJsonl(const BurnAlert& alert, std::string* out) {
+void AppendJsonl(const BurnAlert& alert, std::string* out) {
   out->append("{\"seq\":");
   AppendU64(alert.seq, out);
   out->append(",\"t_us\":");
@@ -967,38 +831,25 @@ void BurnAlertLog::AppendJsonl(const BurnAlert& alert, std::string* out) {
   out->append("}\n");
 }
 
-std::string BurnAlertLog::ExportJsonl() const {
-  std::string out;
-  for (const BurnAlert& alert : Snapshot()) {
-    AppendJsonl(alert, &out);
-  }
-  return out;
-}
-
 // ------------------------------------------------------------- facade
 
 EngineTelemetry::EngineTelemetry(double trace_sample_rate,
                                  size_t audit_capacity,
-                                 size_t trace_ring_capacity,
-                                 size_t flight_capacity,
-                                 size_t burn_alert_capacity)
+                                 size_t flight_capacity)
     : audit_(audit_capacity),
       flight_(flight_capacity),
-      burn_alerts_(burn_alert_capacity),
       sample_every_(trace_sample_rate <= 0.0
                         ? 0
                         : std::max<uint64_t>(
                               1, static_cast<uint64_t>(
                                      std::llround(1.0 / std::min(
                                                             1.0,
-                                                            trace_sample_rate))))),
-      trace_capacity_(trace_ring_capacity) {
+                                                            trace_sample_rate))))) {
   for (size_t i = 0; i < kTraceStageCount; ++i) {
     stage_hist_[i] = metrics_.histogram(
         std::string("engine_stage_") +
         TraceStageName(static_cast<TraceStage>(i)) + "_ms");
   }
-  trace_ring_.reserve(trace_capacity_);
 }
 
 RequestTrace EngineTelemetry::MaybeStartTrace() {
@@ -1023,68 +874,8 @@ void EngineTelemetry::FinishTrace(RequestTrace* trace, bool ok) {
     }
   }
   trace->Reset();
-  if (trace_capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  // Stamped under the ring lock (not at function entry) so concurrent
-  // finishes get wall times in ring order, clamped non-decreasing
-  // against the previous record for the same reason as the audit log.
-  record.wall_micros = std::max(WallMicros(), last_trace_wall_micros_);
-  last_trace_wall_micros_ = record.wall_micros;
-  const size_t slot = static_cast<size_t>(trace_total_++ % trace_capacity_);
-  if (slot < trace_ring_.size()) {
-    trace_ring_[slot] = record;
-  } else {
-    trace_ring_.push_back(record);
-  }
-}
-
-std::vector<TraceRecord> EngineTelemetry::SnapshotTraces() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  std::vector<TraceRecord> out;
-  out.reserve(trace_ring_.size());
-  if (trace_total_ <= trace_capacity_) {
-    out.assign(trace_ring_.begin(), trace_ring_.end());
-    return out;
-  }
-  const size_t start = static_cast<size_t>(trace_total_ % trace_capacity_);
-  for (size_t i = 0; i < trace_ring_.size(); ++i) {
-    out.push_back(trace_ring_[(start + i) % trace_ring_.size()]);
-  }
-  return out;
-}
-
-uint64_t EngineTelemetry::trace_total() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return trace_total_;
-}
-
-uint64_t EngineTelemetry::trace_dropped() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return trace_total_ > trace_capacity_ ? trace_total_ - trace_capacity_ : 0;
-}
-
-std::string EngineTelemetry::TracesJsonl() const {
-  std::string out;
-  for (const TraceRecord& record : SnapshotTraces()) {
-    out.append("{\"trace_id\":");
-    AppendU64(record.trace_id, &out);
-    out.append(",\"t_us\":");
-    AppendI64(record.wall_micros, &out);
-    out.append(",\"ok\":");
-    out.append(record.ok ? "true" : "false");
-    out.append(",\"stages\":{");
-    bool first = true;
-    for (size_t i = 0; i < kTraceStageCount; ++i) {
-      if (record.stage_ms[i] < 0.0) continue;
-      if (!first) out.append(",");
-      first = false;
-      AppendJsonString(TraceStageName(static_cast<TraceStage>(i)), &out);
-      out.append(":");
-      AppendDouble(record.stage_ms[i], &out);
-    }
-    out.append("}}\n");
-  }
-  return out;
+  record.wall_micros = WallMicros();
+  traces_.Push(record);
 }
 
 }  // namespace blowfish

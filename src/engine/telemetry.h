@@ -27,25 +27,24 @@
 //                      traces feed per-stage histograms and a bounded
 //                      ring of recent structured traces.
 //
-//   EpsilonAuditLog    a bounded ring of structured spend/refusal
-//                      events. BudgetAccountant::Charge appends while
-//                      still holding the involved shard locks, so the
-//                      log's per-ledger event order *is* each ledger's
-//                      spend order: replaying `spent += ε` over a
-//                      ledger's events in seq order reproduces its
-//                      PrivacyBudget balance bit-for-bit (the
-//                      reconciliation engine_telemetry_test pins, and
-//                      the property a durable-state ledger replay
+//   BoundedRing<T>     the one mutex-guarded ring behind every record
+//                      stream: ε-audit events, burn-rate alerts and
+//                      finished traces. BudgetAccountant::Charge pushes
+//                      audit events while still holding the involved
+//                      shard locks, so the ring's per-ledger event
+//                      order *is* each ledger's spend order: replaying
+//                      `spent += ε` over a ledger's events in seq order
+//                      reproduces its PrivacyBudget balance bit-for-bit
+//                      (the reconciliation engine_telemetry_test pins,
+//                      and the property a durable-state ledger replay
 //                      needs). Events carry the post-charge balances,
-//                      a pluggable sink sees each event as it lands,
 //                      and ExportJsonl() emits crash-portable JSONL
 //                      (doubles printed with %.17g so they round-trip
 //                      exactly).
 //
-// Thread safety: metric updates are lock-free; the audit ring and the
-// trace ring take their own short mutexes (never while holding any
-// engine lock other than the accountant's shard locks, which order
-// strictly before the audit mutex).
+// Thread safety: metric updates are lock-free; each ring takes its own
+// short mutex (never while holding any engine lock other than the
+// accountant's shard locks, which order strictly before ring mutexes).
 
 #ifndef BLOWFISH_ENGINE_TELEMETRY_H_
 #define BLOWFISH_ENGINE_TELEMETRY_H_
@@ -359,7 +358,7 @@ class MetricsRegistry {
     std::unique_ptr<DoubleCounter> double_counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<LatencyHistogram> histogram;
-    std::function<double()> callback;
+    std::unique_ptr<std::function<double()>> callback;
     std::unique_ptr<CounterFamily> counter_family;
     std::unique_ptr<DoubleCounterFamily> double_counter_family;
     std::unique_ptr<HistogramFamily> histogram_family;
@@ -367,6 +366,13 @@ class MetricsRegistry {
   };
 
   bool EntryIsEmpty(const Entry& entry) const;
+
+  /// Get-or-create: the `slot` metric registered as `name`, built from
+  /// `args` on first registration. Dies if `name` already holds a
+  /// metric of another type.
+  template <typename M, typename... Args>
+  M* GetOrCreate(std::unique_ptr<M> Entry::*slot, const std::string& name,
+                 std::string_view help, Args&&... args) REQUIRES(mu_);
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_ GUARDED_BY(mu_);
@@ -394,6 +400,7 @@ const char* TraceStageName(TraceStage stage);
 
 /// \brief One completed sampled trace, as kept in the bounded ring.
 struct TraceRecord {
+  uint64_t seq = 0;         ///< assigned at push; dense, starts at 1
   uint64_t trace_id = 0;
   int64_t wall_micros = 0;  ///< completion wall time
   bool ok = false;          ///< the traced request succeeded
@@ -493,8 +500,8 @@ struct AuditEvent {
     double remaining = 0.0;
   };
 
-  uint64_t seq = 0;         ///< assigned at append; dense, starts at 1
-  int64_t wall_micros = 0;  ///< system clock at append
+  uint64_t seq = 0;         ///< assigned at push; dense, starts at 1
+  int64_t wall_micros = 0;  ///< system clock at the charge decision
   bool charged = false;     ///< spend (true) or refusal (false)
   /// kOutOfRange (budget exhausted), kNotFound (stale/closed ledger),
   /// or kUnavailableDurability (spend record could not be journaled)
@@ -512,11 +519,12 @@ struct AuditEvent {
   size_t num_ledgers = 0;
 };
 
-/// \brief Outcome of replaying a JSONL audit export: how many events
+/// \brief Outcome of replaying a JSONL ring export: how many events
 /// the stream carries, the seq range, and whether the dense-seq
-/// invariant held across it.
+/// invariant held across it. Every non-empty line counts exactly once,
+/// in `events` or in `errors`.
 struct JsonlReplayReport {
-  uint64_t events = 0;          ///< well-formed event lines seen
+  uint64_t events = 0;          ///< well-formed, in-order event lines
   uint64_t first_seq = 0;       ///< 0 if the stream had no events
   uint64_t last_seq = 0;        ///< 0 if the stream had no events
   uint64_t seq_gaps = 0;        ///< discontinuities (ring drops)
@@ -525,57 +533,6 @@ struct JsonlReplayReport {
   std::vector<std::string> errors;
 
   bool clean() const { return seq_gaps == 0 && errors.empty(); }
-};
-
-/// \brief Bounded ring of audit events with a pluggable sink and a
-/// JSONL exporter. Appends are serialized by one mutex; the
-/// accountant calls Append while holding the charge's shard locks,
-/// which is what makes per-ledger event order identical to spend
-/// order (shard locks order strictly before this mutex; the sink runs
-/// under it and must be fast and never re-enter the engine).
-class EpsilonAuditLog {
- public:
-  /// capacity = 0 disables capture entirely (Append is one branch).
-  explicit EpsilonAuditLog(size_t capacity);
-
-  bool enabled() const { return capacity_ > 0; }
-  size_t capacity() const { return capacity_; }
-
-  void Append(AuditEvent event);
-
-  /// Observes every appended event (even once the ring wraps). Replace
-  /// with nullptr to detach.
-  void SetSink(std::function<void(const AuditEvent&)> sink);
-
-  /// Retained events, oldest first (seq order).
-  std::vector<AuditEvent> Snapshot() const;
-  /// Events ever appended; ring keeps the last min(total, capacity).
-  uint64_t total_events() const;
-  /// Events overwritten by ring wrap-around.
-  uint64_t dropped() const;
-
-  /// One JSON object per line, seq order, doubles exact (%.17g).
-  std::string ExportJsonl() const;
-  static void AppendJsonl(const AuditEvent& event, std::string* out);
-
-  /// Walks a JSONL export and verifies the seq chain. Audit seqs are
-  /// dense, so any jump means the ring wrapped between export windows
-  /// (events were dropped — the `engine_audit_dropped` metric counts
-  /// the same loss live); a duplicate or backwards seq means the
-  /// stream was corrupted or stitched wrong, and is reported as an
-  /// error rather than a gap.
-  static JsonlReplayReport ReplayJsonl(std::string_view jsonl);
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  /// index = (seq - 1) % capacity
-  std::vector<AuditEvent> ring_ GUARDED_BY(mu_);
-  uint64_t total_ GUARDED_BY(mu_) = 0;
-  /// Clamp for non-decreasing wall_micros across ring events (the
-  /// system clock itself may step backwards).
-  int64_t last_wall_micros_ GUARDED_BY(mu_) = 0;
-  std::function<void(const AuditEvent&)> sink_ GUARDED_BY(mu_);
 };
 
 // ---------------------------------------------------- flight recorder
@@ -706,7 +663,7 @@ class FlightRecorder {
 /// events, so alerts interleave consistently with the spends that
 /// caused them.
 struct BurnAlert {
-  uint64_t seq = 0;         ///< assigned at append; dense, starts at 1
+  uint64_t seq = 0;         ///< assigned at push; dense, starts at 1
   int64_t wall_micros = 0;  ///< clock at the triggering spend
   bool fired = true;        ///< fired (true) or cleared (false)
   std::string ledger_id;    ///< accountant's durable ledger name
@@ -716,73 +673,142 @@ struct BurnAlert {
   double projected_s = 0.0; ///< seconds to exhaustion at the fast rate
 };
 
-/// \brief Bounded ring of burn alerts with JSONL export — the audit
-/// log's shape, for rate alerts. Appends come from the accountant
-/// while it holds the charge's shard locks (shard locks order before
-/// this mutex, like the audit log's).
-class BurnAlertLog {
+// ------------------------------------------------------- bounded ring
+
+/// JSONL encoders, one per ring record type; doubles print as %.17g so
+/// they round-trip exactly. Audit and burn lines lead with `{"seq":`
+/// (what ReplayJsonl parses); trace lines lead with `{"trace_id":` and
+/// carry no seq.
+void AppendJsonl(const AuditEvent& event, std::string* out);
+void AppendJsonl(const BurnAlert& alert, std::string* out);
+void AppendJsonl(const TraceRecord& record, std::string* out);
+
+/// Walks an audit or burn-alert JSONL export and verifies the seq
+/// chain. Ring seqs are dense, so any jump means the ring wrapped
+/// between export windows (records were dropped — the
+/// `engine_audit_dropped` metric counts the same loss live); a
+/// duplicate or backwards seq means the stream was corrupted or
+/// stitched wrong, and is reported as an error rather than a gap, as
+/// is a seq that does not fit in 64 bits.
+JsonlReplayReport ReplayJsonl(std::string_view jsonl);
+
+/// System-clock wall time, microseconds since the epoch.
+inline int64_t WallMicros() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
+}
+
+/// \brief Bounded ring of the last `capacity` records, oldest evicted
+/// first, with JSONL export. T carries `seq` and `wall_micros`; Push
+/// assigns the seq and clamps the caller-stamped wall time so the
+/// ring's timestamps never decrease (the system clock itself may step
+/// backwards — NTP slew, VM migration — and consumers replay by
+/// (seq, t_us)). The accountant pushes while holding a charge's shard
+/// locks, which order strictly before this mutex.
+template <typename T>
+class BoundedRing {
  public:
-  /// capacity = 0 disables capture (Append still counts fired/active).
-  explicit BurnAlertLog(size_t capacity);
+  /// capacity = 0 disables capture (Push is one branch).
+  explicit BoundedRing(size_t capacity) : capacity_(capacity) {
+    // Pre-size so steady-state pushes reuse slots instead of growing
+    // the vector mid-charge.
+    ring_.reserve(capacity_);
+  }
 
   bool enabled() const { return capacity_ > 0; }
   size_t capacity() const { return capacity_; }
 
-  void Append(BurnAlert alert);
-
-  /// Retained alerts, oldest first (seq order).
-  std::vector<BurnAlert> Snapshot() const;
-  uint64_t total() const;
-  /// Alerts that fired (lifetime count — the alert counter metric).
-  uint64_t fired_total() const {
-    return fired_.load(std::memory_order_relaxed);
+  void Push(T item) {
+    if (capacity_ == 0) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    item.seq = ++total_;
+    item.wall_micros = std::max(item.wall_micros, last_wall_micros_);
+    last_wall_micros_ = item.wall_micros;
+    const size_t slot = static_cast<size_t>((item.seq - 1) % capacity_);
+    if (slot < ring_.size()) {
+      ring_[slot] = std::move(item);
+    } else {
+      ring_.push_back(std::move(item));
+    }
   }
-  /// Ledgers currently in the alerting state (fired minus cleared).
-  int64_t active() const { return active_.load(std::memory_order_relaxed); }
 
-  /// One JSON object per line, seq order, doubles exact (%.17g).
-  std::string ExportJsonl() const;
-  static void AppendJsonl(const BurnAlert& alert, std::string* out);
+  /// Retained records, oldest first (seq order).
+  std::vector<T> Snapshot() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<T> out;
+    out.reserve(ring_.size());
+    // Once wrapped, the oldest retained record sits right after the
+    // newest; before that, start is 0.
+    const size_t start = total_ > capacity_
+                             ? static_cast<size_t>(total_ % capacity_)
+                             : 0;
+    for (size_t i = 0; i < ring_.size(); ++i) {
+      out.push_back(ring_[(start + i) % ring_.size()]);
+    }
+    return out;
+  }
+
+  /// Records ever pushed; the ring keeps the last min(total, capacity).
+  uint64_t total() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return total_;
+  }
+  /// Records overwritten by wrap-around.
+  uint64_t dropped() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return total_ > capacity_ ? total_ - capacity_ : 0;
+  }
+
+  /// One JSON object per line, oldest first.
+  std::string ExportJsonl() const {
+    std::string out;
+    for (const T& item : Snapshot()) AppendJsonl(item, &out);
+    return out;
+  }
 
  private:
   const size_t capacity_;
   mutable std::mutex mu_;
-  std::vector<BurnAlert> ring_ GUARDED_BY(mu_);
+  /// index = (seq - 1) % capacity
+  std::vector<T> ring_ GUARDED_BY(mu_);
   uint64_t total_ GUARDED_BY(mu_) = 0;
-  /// Clamp for non-decreasing wall_micros across ring events.
   int64_t last_wall_micros_ GUARDED_BY(mu_) = 0;
-  std::atomic<uint64_t> fired_{0};
-  std::atomic<int64_t> active_{0};
 };
 
 // ------------------------------------------------------------- facade
 
-/// \brief Per-engine bundle: the registry, the audit log, the trace
-/// sampler, and the bounded ring of completed traces. Owned by
-/// QueryEngine; AsyncQueryEngine registers its lane metrics into the
-/// same registry so one snapshot covers the whole pipeline.
+/// \brief Per-engine bundle: the registry, the audit and burn-alert
+/// rings, the flight recorder, the trace sampler, and the ring of
+/// completed traces. Owned by QueryEngine; AsyncQueryEngine registers
+/// its lane metrics into the same registry so one snapshot covers the
+/// whole pipeline.
 class EngineTelemetry {
  public:
+  static constexpr size_t kTraceRingCapacity = 256;
+  static constexpr size_t kBurnAlertCapacity = 256;
+
   EngineTelemetry(double trace_sample_rate, size_t audit_capacity,
-                  size_t trace_ring_capacity = 256,
-                  size_t flight_capacity = 0,
-                  size_t burn_alert_capacity = 0);
+                  size_t flight_capacity = 0);
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  EpsilonAuditLog& audit() { return audit_; }
-  const EpsilonAuditLog& audit() const { return audit_; }
+  BoundedRing<AuditEvent>& audit() { return audit_; }
+  const BoundedRing<AuditEvent>& audit() const { return audit_; }
   FlightRecorder& flight() { return flight_; }
   const FlightRecorder& flight() const { return flight_; }
-  BurnAlertLog& burn_alerts() { return burn_alerts_; }
-  const BurnAlertLog& burn_alerts() const { return burn_alerts_; }
+  BoundedRing<BurnAlert>& burn_alerts() { return burn_alerts_; }
+  const BoundedRing<BurnAlert>& burn_alerts() const { return burn_alerts_; }
+  /// Completed sampled traces (its dropped() count is the
+  /// `engine_trace_dropped` metric).
+  const BoundedRing<TraceRecord>& traces() const { return traces_; }
 
   /// Per-submit sampling decision. Rate 0: one member load, returns an
   /// inactive span — no clock, no atomics, no allocation. Rate r > 0:
   /// every round(1/r)-th submit gets an active span.
   RequestTrace MaybeStartTrace();
 
-  /// Records the span's stages into the per-stage histograms, appends
+  /// Records the span's stages into the per-stage histograms, pushes
   /// a TraceRecord to the ring, and deactivates the span. No-op for
   /// inactive spans.
   void FinishTrace(RequestTrace* trace, bool ok);
@@ -796,33 +822,23 @@ class EngineTelemetry {
   }
 
   /// Completed sampled traces, oldest first.
-  std::vector<TraceRecord> SnapshotTraces() const;
+  std::vector<TraceRecord> SnapshotTraces() const {
+    return traces_.Snapshot();
+  }
   /// JSONL: one {"trace_id", "t_us", "ok", "stages": {...}} per line.
-  std::string TracesJsonl() const;
-
-  /// Sampled traces ever finished into the ring.
-  uint64_t trace_total() const;
-  /// Traces overwritten by ring wrap-around (the data loss the
-  /// `engine_trace_dropped` metric exposes to scrapers).
-  uint64_t trace_dropped() const;
+  std::string TracesJsonl() const { return traces_.ExportJsonl(); }
 
  private:
   MetricsRegistry metrics_;
-  EpsilonAuditLog audit_;
+  BoundedRing<AuditEvent> audit_;
   FlightRecorder flight_;
-  BurnAlertLog burn_alerts_;
+  BoundedRing<BurnAlert> burn_alerts_{kBurnAlertCapacity};
+  BoundedRing<TraceRecord> traces_{kTraceRingCapacity};
 
   const uint64_t sample_every_;  ///< 0 = tracing off
   std::atomic<uint64_t> sample_clock_{0};
   std::atomic<uint64_t> next_trace_id_{0};
   LatencyHistogram* stage_hist_[kTraceStageCount];
-
-  const size_t trace_capacity_;
-  mutable std::mutex trace_mu_;
-  std::vector<TraceRecord> trace_ring_ GUARDED_BY(trace_mu_);
-  uint64_t trace_total_ GUARDED_BY(trace_mu_) = 0;
-  /// Clamp for non-decreasing wall_micros across ring records.
-  int64_t last_trace_wall_micros_ GUARDED_BY(trace_mu_) = 0;
 };
 
 }  // namespace blowfish

@@ -11,9 +11,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -804,7 +806,7 @@ TEST(AuditJsonlTest, DurabilityRefusalHasItsOwnLabel) {
   event.refusal = StatusCode::kUnavailableDurability;
   event.epsilon = 0.25;
   std::string line;
-  EpsilonAuditLog::AppendJsonl(event, &line);
+  AppendJsonl(event, &line);
   EXPECT_NE(line.find("\"durability_unavailable\""), std::string::npos) << line;
 }
 
@@ -817,10 +819,10 @@ TEST(AuditJsonlTest, ReplayDetectsGapsAndRegressions) {
     return event;
   };
   std::string jsonl;
-  EpsilonAuditLog::AppendJsonl(make(1), &jsonl);
-  EpsilonAuditLog::AppendJsonl(make(2), &jsonl);
-  EpsilonAuditLog::AppendJsonl(make(3), &jsonl);
-  JsonlReplayReport clean = EpsilonAuditLog::ReplayJsonl(jsonl);
+  AppendJsonl(make(1), &jsonl);
+  AppendJsonl(make(2), &jsonl);
+  AppendJsonl(make(3), &jsonl);
+  JsonlReplayReport clean = ReplayJsonl(jsonl);
   EXPECT_TRUE(clean.clean());
   EXPECT_EQ(clean.events, 3u);
   EXPECT_EQ(clean.first_seq, 1u);
@@ -828,9 +830,9 @@ TEST(AuditJsonlTest, ReplayDetectsGapsAndRegressions) {
 
   // A ring that wrapped between export windows drops events: gap.
   std::string gappy;
-  EpsilonAuditLog::AppendJsonl(make(1), &gappy);
-  EpsilonAuditLog::AppendJsonl(make(5), &gappy);
-  JsonlReplayReport gap = EpsilonAuditLog::ReplayJsonl(gappy);
+  AppendJsonl(make(1), &gappy);
+  AppendJsonl(make(5), &gappy);
+  JsonlReplayReport gap = ReplayJsonl(gappy);
   EXPECT_FALSE(gap.clean());
   EXPECT_EQ(gap.seq_gaps, 1u);
   EXPECT_EQ(gap.missing_events, 3u);
@@ -838,15 +840,77 @@ TEST(AuditJsonlTest, ReplayDetectsGapsAndRegressions) {
 
   // A duplicate seq is stream corruption, not a drop.
   std::string dup;
-  EpsilonAuditLog::AppendJsonl(make(2), &dup);
-  EpsilonAuditLog::AppendJsonl(make(2), &dup);
-  JsonlReplayReport bad = EpsilonAuditLog::ReplayJsonl(dup);
+  AppendJsonl(make(2), &dup);
+  AppendJsonl(make(2), &dup);
+  JsonlReplayReport bad = ReplayJsonl(dup);
   EXPECT_EQ(bad.errors.size(), 1u);
   EXPECT_EQ(bad.seq_gaps, 0u);
 
-  JsonlReplayReport malformed = EpsilonAuditLog::ReplayJsonl("not json\n");
+  JsonlReplayReport malformed = ReplayJsonl("not json\n");
   EXPECT_EQ(malformed.events, 0u);
   EXPECT_EQ(malformed.errors.size(), 1u);
+}
+
+TEST(AuditJsonlTest, ReplayRejectsOverflowingSeq) {
+  // 2^64 + 2 would wrap to seq 2 and pass as the dense successor of 1.
+  JsonlReplayReport wrapped =
+      ReplayJsonl("{\"seq\":1}\n{\"seq\":18446744073709551618}\n");
+  EXPECT_FALSE(wrapped.clean());
+  EXPECT_EQ(wrapped.events, 1u);
+  EXPECT_EQ(wrapped.last_seq, 1u);
+  EXPECT_EQ(wrapped.errors.size(), 1u);
+
+  // The largest 64-bit seq is well-formed; one past it is not, and
+  // neither is a zero-padded seq longer than 20 digits.
+  JsonlReplayReport max = ReplayJsonl("{\"seq\":18446744073709551615}\n");
+  EXPECT_TRUE(max.clean());
+  EXPECT_EQ(max.last_seq, UINT64_MAX);
+  EXPECT_EQ(
+      ReplayJsonl("{\"seq\":18446744073709551616}\n").errors.size(), 1u);
+  EXPECT_EQ(
+      ReplayJsonl("{\"seq\":000000000000000000001}\n").errors.size(), 1u);
+}
+
+// Seeded byte mutations of a clean export: the replay must never crash
+// and must account for every non-empty line exactly once, as an event
+// or as an error.
+TEST(AuditJsonlTest, ReplaySurvivesByteMutations) {
+  std::string clean;
+  for (uint64_t seq = 1; seq <= 3; ++seq) {
+    AuditEvent event;
+    event.seq = seq;
+    event.charged = true;
+    event.epsilon = 0.1;
+    event.workload = "w";
+    AppendJsonl(event, &clean);
+  }
+  static constexpr char kAlphabet[] = "{}\":,0123456789seq\n\x1f\xff";
+  std::mt19937_64 rng(0x5eed);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string mutated = clean;
+    const int mutations = 1 + static_cast<int>(rng() % 4);
+    for (int m = 0; m < mutations && !mutated.empty(); ++m) {
+      const size_t at = rng() % mutated.size();
+      const char byte = rng() % 2 == 0
+                            ? static_cast<char>(rng() & 0xff)
+                            : kAlphabet[rng() % (sizeof(kAlphabet) - 1)];
+      switch (rng() % 3) {
+        case 0: mutated[at] = byte; break;
+        case 1: mutated.insert(at, 1, byte); break;
+        default: mutated.erase(at, 1); break;
+      }
+    }
+    size_t lines = 0;
+    for (size_t pos = 0; pos < mutated.size();) {
+      size_t eol = mutated.find('\n', pos);
+      if (eol == std::string::npos) eol = mutated.size();
+      if (eol > pos) ++lines;
+      pos = eol + 1;
+    }
+    const JsonlReplayReport report = ReplayJsonl(mutated);
+    EXPECT_EQ(report.events + report.errors.size(), lines)
+        << "iteration " << iter << ": " << mutated;
+  }
 }
 
 }  // namespace

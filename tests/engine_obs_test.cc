@@ -77,7 +77,7 @@ std::string MakeTempDir() {
 TEST(BurnRate, FiresOnTheExactScriptedCharge) {
   std::atomic<int64_t> now_us{0};
   BudgetAccountant accountant;
-  BurnAlertLog alerts(64);
+  BoundedRing<BurnAlert> alerts(64);
   BurnRateConfig config;
   config.enabled = true;
   config.fast_window_s = 10.0;
@@ -91,16 +91,17 @@ TEST(BurnRate, FiresOnTheExactScriptedCharge) {
   const ChargeTag tag;
 
   ASSERT_TRUE(accountant.Charge(&ledger, 1, 1.0, tag).ok());
-  EXPECT_EQ(alerts.fired_total(), 0u);
+  EXPECT_EQ(accountant.burn_alerts_fired(), 0u);
   EXPECT_EQ(accountant.burn_alerts_active(), 0);
 
   now_us.store(1'000'000);
   ASSERT_TRUE(accountant.Charge(&ledger, 1, 4.0, tag).ok());
-  EXPECT_EQ(alerts.fired_total(), 0u) << "slow window must gate the spike";
+  EXPECT_EQ(accountant.burn_alerts_fired(), 0u)
+      << "slow window must gate the spike";
 
   now_us.store(2'000'000);
   ASSERT_TRUE(accountant.Charge(&ledger, 1, 2.0, tag).ok());
-  EXPECT_EQ(alerts.fired_total(), 1u);
+  EXPECT_EQ(accountant.burn_alerts_fired(), 1u);
   EXPECT_EQ(accountant.burn_alerts_active(), 1);
 
   std::vector<BurnAlert> fired = alerts.Snapshot();
@@ -116,7 +117,7 @@ TEST(BurnRate, FiresOnTheExactScriptedCharge) {
   // A further hot charge while already alerting must not double-fire.
   now_us.store(3'000'000);
   ASSERT_TRUE(accountant.Charge(&ledger, 1, 0.5, tag).ok());
-  EXPECT_EQ(alerts.fired_total(), 1u);
+  EXPECT_EQ(accountant.burn_alerts_fired(), 1u);
   EXPECT_EQ(accountant.burn_alerts_active(), 1);
 
   // Quiet period: both windows rotate out, the next charge clears.
@@ -137,7 +138,7 @@ TEST(BurnRate, FiresOnTheExactScriptedCharge) {
 TEST(BurnRate, ClosingAnAlertingLedgerClearsIt) {
   std::atomic<int64_t> now_us{0};
   BudgetAccountant accountant;
-  BurnAlertLog alerts(8);
+  BoundedRing<BurnAlert> alerts(8);
   BurnRateConfig config;
   config.enabled = true;
   config.fast_window_s = 10.0;
@@ -222,6 +223,41 @@ TEST(ObsServer, ServesMetricsVarzHealthzFlightz) {
 
   EXPECT_EQ(ObsHttpGet(port, "/nope").ValueOrDie().status, 404);
   EXPECT_GE(engine.obs_server()->requests_served(), 5u);
+}
+
+// /auditz and /burnz serve the rings' JSONL exports. The audit body is
+// the replayable spend record, so it must replay clean and complete.
+TEST(ObsServer, ServesAuditzAndBurnzRings) {
+  EngineOptions options;
+  options.seed = 7;
+  options.obs_port = 0;
+  options.burn_alert_horizon_s = 1e6;  // every spend projects exhaustion
+  QueryEngine engine(options);
+  ASSERT_NE(engine.obs_server(), nullptr) << engine.obs_error().ToString();
+  const int port = engine.obs_server()->port();
+
+  ASSERT_TRUE(engine.RegisterPolicy("p", LinePolicy(8), Ramp(8), 4.0).ok());
+  ASSERT_TRUE(engine.OpenSession("acme:1", 2.0).ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(engine.Submit(MakeRequest("acme:1", "p", 8, 0.25)).ok());
+  }
+  EXPECT_FALSE(engine.Submit(MakeRequest("acme:1", "p", 8, 5.0)).ok());
+
+  HttpResponse auditz = ObsHttpGet(port, "/auditz").ValueOrDie();
+  EXPECT_EQ(auditz.status, 200);
+  const JsonlReplayReport audit = ReplayJsonl(auditz.body);
+  EXPECT_TRUE(audit.clean());
+  EXPECT_EQ(audit.events, engine.telemetry().audit().total());
+  EXPECT_EQ(audit.events, 5u);  // four spends and the refusal
+  EXPECT_NE(auditz.body.find("\"refusal\":\"budget_exhausted\""),
+            std::string::npos);
+
+  HttpResponse burnz = ObsHttpGet(port, "/burnz").ValueOrDie();
+  EXPECT_EQ(burnz.status, 200);
+  const JsonlReplayReport burn = ReplayJsonl(burnz.body);
+  EXPECT_TRUE(burn.clean());
+  EXPECT_EQ(burn.events, engine.telemetry().burn_alerts().total());
+  EXPECT_EQ(burn.events, 2u);  // session grant and policy cap both fire
 }
 
 TEST(ObsServer, HealthzFlipsTo503WhenDurabilityPoisons) {

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <new>
 #include <string>
 #include <thread>
@@ -262,35 +264,129 @@ TEST(EngineTelemetry, RefusalsAreAuditedWithUntouchedBalances) {
   EXPECT_NE(std::string::npos, jsonl.find("\"refusal\":\"budget_exhausted\""));
 }
 
-TEST(EpsilonAuditLog, RingWrapKeepsNewestAndCountsDrops) {
-  EpsilonAuditLog log(4);
-  std::vector<uint64_t> sink_seqs;
-  log.SetSink([&](const AuditEvent& event) { sink_seqs.push_back(event.seq); });
-  for (int i = 0; i < 10; ++i) {
-    AuditEvent event;
-    event.epsilon = 0.1 * (i + 1);
-    log.Append(std::move(event));
-  }
-  EXPECT_EQ(10u, log.total_events());
-  EXPECT_EQ(6u, log.dropped());
-  const std::vector<AuditEvent> kept = log.Snapshot();
+// ---- rings ---------------------------------------------------------
+
+template <typename T>
+class BoundedRingTest : public ::testing::Test {};
+using RingRecordTypes = ::testing::Types<AuditEvent, BurnAlert, TraceRecord>;
+TYPED_TEST_SUITE(BoundedRingTest, RingRecordTypes);
+
+TYPED_TEST(BoundedRingTest, RingWrapKeepsNewestAndCountsDrops) {
+  BoundedRing<TypeParam> ring(4);
+  for (int i = 0; i < 10; ++i) ring.Push(TypeParam{});
+  EXPECT_EQ(10u, ring.total());
+  EXPECT_EQ(6u, ring.dropped());
+  const std::vector<TypeParam> kept = ring.Snapshot();
   ASSERT_EQ(4u, kept.size());
-  EXPECT_EQ(7u, kept.front().seq);
-  EXPECT_EQ(10u, kept.back().seq);
-  // The sink saw every event, including the ones the ring dropped.
-  ASSERT_EQ(10u, sink_seqs.size());
-  EXPECT_EQ(1u, sink_seqs.front());
-  EXPECT_EQ(10u, sink_seqs.back());
+  for (size_t i = 0; i < kept.size(); ++i) EXPECT_EQ(7u + i, kept[i].seq);
+  const std::string jsonl = ring.ExportJsonl();
+  EXPECT_EQ(4, std::count(jsonl.begin(), jsonl.end(), '\n'));
 }
 
-TEST(EpsilonAuditLog, ZeroCapacityDisablesCapture) {
-  EpsilonAuditLog log(0);
-  EXPECT_FALSE(log.enabled());
-  AuditEvent event;
-  log.Append(std::move(event));
-  EXPECT_EQ(0u, log.total_events());
-  EXPECT_TRUE(log.Snapshot().empty());
-  EXPECT_TRUE(log.ExportJsonl().empty());
+TYPED_TEST(BoundedRingTest, ZeroCapacityDisablesCapture) {
+  BoundedRing<TypeParam> ring(0);
+  EXPECT_FALSE(ring.enabled());
+  ring.Push(TypeParam{});
+  EXPECT_EQ(0u, ring.total());
+  EXPECT_EQ(0u, ring.dropped());
+  EXPECT_TRUE(ring.Snapshot().empty());
+  EXPECT_TRUE(ring.ExportJsonl().empty());
+}
+
+// Callers stamp wall_micros from a clock that may step backwards (NTP
+// slew, VM migration, a scripted test clock); the ring's timestamps
+// never decrease, also across wrap-around.
+TYPED_TEST(BoundedRingTest, BackwardsWallClockNeverDecreases) {
+  BoundedRing<TypeParam> ring(4);
+  const int64_t clock[] = {100, 250, 90, 300, 0, 310};
+  for (const int64_t t : clock) {
+    TypeParam item{};
+    item.wall_micros = t;
+    ring.Push(item);
+  }
+  const std::vector<TypeParam> kept = ring.Snapshot();
+  ASSERT_EQ(4u, kept.size());
+  const int64_t expected[] = {250, 300, 300, 310};
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(expected[i], kept[i].wall_micros) << "record " << kept[i].seq;
+  }
+}
+
+// Exact JSONL lines for every ring record type: the wire formats that
+// ReplayJsonl, ledger tooling and dashboards parse. Doubles print with
+// %.17g; the trace line carries no seq.
+TEST(TelemetryJsonl, LineFormatsArePinned) {
+  AuditEvent charged;
+  charged.seq = 7;
+  charged.wall_micros = 1700000000123456;
+  charged.charged = true;
+  charged.epsilon = 0.1;
+  charged.parallel_count = 4;
+  charged.workload = "hist \"q\"";
+  charged.context = std::make_shared<const std::string>("line/dawa");
+  charged.ledgers[0] = {"session/acme:1", 1.0 / 3.0};
+  charged.ledgers[1] = {"policy/line\x1f" "2", 9.7};
+  charged.num_ledgers = 2;
+  std::string line;
+  AppendJsonl(charged, &line);
+  EXPECT_EQ(line,
+            "{\"seq\":7,\"t_us\":1700000000123456,\"outcome\":\"charged\","
+            "\"eps\":0.10000000000000001,\"composition\":\"parallel\","
+            "\"parallel_count\":4,\"workload\":\"hist \\\"q\\\"\","
+            "\"context\":\"line/dawa\",\"ledgers\":[{\"id\":\"session/acme:1\","
+            "\"remaining\":0.33333333333333331},{\"id\":"
+            "\"policy/line\\u001f2\",\"remaining\":9.6999999999999993}]}\n");
+
+  AuditEvent refused;
+  refused.seq = 8;
+  refused.wall_micros = 1700000000123457;
+  refused.charged = false;
+  refused.refusal = StatusCode::kUnavailableDurability;
+  refused.epsilon = 0.25;
+  refused.workload = "w";
+  refused.ledgers[0] = {"session/acme:1", 0.5};
+  refused.num_ledgers = 1;
+  line.clear();
+  AppendJsonl(refused, &line);
+  EXPECT_EQ(line,
+            "{\"seq\":8,\"t_us\":1700000000123457,\"outcome\":\"refused\","
+            "\"refusal\":\"durability_unavailable\",\"eps\":0.25,"
+            "\"composition\":\"sequential\",\"workload\":\"w\","
+            "\"ledgers\":[{\"id\":\"session/acme:1\",\"remaining\":0.5}]}\n");
+
+  BurnAlert alert;
+  alert.seq = 3;
+  alert.wall_micros = 2000000;
+  alert.fired = true;
+  alert.ledger_id = "session/burn";
+  alert.remaining = 3.0;
+  alert.fast_rate = 0.7;
+  alert.slow_rate = 0.07;
+  alert.projected_s = 3.0 / 0.7;
+  line.clear();
+  AppendJsonl(alert, &line);
+  EXPECT_EQ(line,
+            "{\"seq\":3,\"t_us\":2000000,\"kind\":\"fired\","
+            "\"ledger\":\"session/burn\",\"remaining\":3,"
+            "\"fast_rate\":0.69999999999999996,"
+            "\"slow_rate\":0.070000000000000007,"
+            "\"projected_s\":4.2857142857142856}\n");
+
+  TraceRecord trace;
+  trace.seq = 9;
+  trace.trace_id = 1;
+  trace.wall_micros = 1700000000200000;
+  trace.ok = true;
+  for (double& ms : trace.stage_ms) ms = -1.0;  // stage not reached
+  trace.stage_ms[static_cast<size_t>(TraceStage::kValidate)] = 0.001;
+  trace.stage_ms[static_cast<size_t>(TraceStage::kCharge)] = 0.5;
+  trace.stage_ms[static_cast<size_t>(TraceStage::kRelease)] = 1.25;
+  line.clear();
+  AppendJsonl(trace, &line);
+  EXPECT_EQ(line,
+            "{\"trace_id\":1,\"t_us\":1700000000200000,\"ok\":true,"
+            "\"stages\":{\"validate\":0.001,\"charge\":0.5,"
+            "\"release\":1.25}}\n");
 }
 
 // ---- tracing -------------------------------------------------------

@@ -31,8 +31,8 @@
 // --serve <port> starts the engine's in-process scrape server
 // (127.0.0.1, port 0 = ephemeral; the bound port prints to stdout)
 // and keeps generating light demo traffic until SIGINT/SIGTERM — a
-// live target for `curl /metrics`, `/varz`, `/healthz`, `/flightz`
-// and for the CI exposition lint.
+// live target for `curl /metrics`, `/varz`, `/healthz`, `/flightz`,
+// `/auditz`, `/burnz` and for the CI exposition lint.
 //
 // --flight <out.jsonl> additionally dumps the always-on flight
 // recorder after the demo traffic.
@@ -461,8 +461,8 @@ int main(int argc, char** argv) {
       }
       // Line-buffered port announcement so a scripted caller (CI) can
       // scrape immediately.
-      std::printf("obs server listening on http://127.0.0.1:%d "
-                  "(/metrics /varz /healthz /flightz) — Ctrl-C stops\n",
+      std::printf("obs server listening on http://127.0.0.1:%d (/metrics "
+                  "/varz /healthz /flightz /auditz /burnz) — Ctrl-C stops\n",
                   engine.obs_server()->port());
       std::fflush(stdout);
       // Keep light demo traffic flowing so scrapes show live counters
