@@ -5,6 +5,8 @@
 #include <limits>
 #include <utility>
 
+#include "engine/record_file.h"
+
 namespace blowfish {
 
 namespace {
@@ -118,9 +120,15 @@ const BudgetAccountant::Slot* BudgetAccountant::SlotFor(
 
 Result<LedgerHandle> BudgetAccountant::OpenLedger(const std::string& id,
                                                   double total_epsilon) {
-  if (total_epsilon <= 0.0) {
+  if (!(total_epsilon > 0.0)) {  // NaN too
     return Status::InvalidArgument("ledger '" + id +
                                    "' needs a positive budget");
+  }
+  if (id.size() > record_file::kMaxStringBytes) {
+    return Status::InvalidArgument(
+        "ledger id of " + std::to_string(id.size()) +
+        " bytes exceeds the journal's limit of " +
+        std::to_string(record_file::kMaxStringBytes));
   }
   const size_t shard_index = ShardOf(id);
   Shard& shard = shards_[shard_index];

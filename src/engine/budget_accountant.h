@@ -128,7 +128,10 @@ class BudgetAccountant {
   static constexpr size_t kShardCount = 16;
 
   /// Creates a ledger and returns its handle; kAlreadyExists if the id
-  /// is taken, kInvalidArgument if the budget is not positive.
+  /// is taken, kInvalidArgument if the budget is not positive or the id
+  /// is longer than the journal's wire limit
+  /// (record_file::kMaxStringBytes) — a truncated id would replay its
+  /// spends into a different ledger.
   Result<LedgerHandle> OpenLedger(const std::string& id,
                                   double total_epsilon);
 

@@ -9,134 +9,36 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <set>
 #include <thread>
 #include <utility>
 
 #include "common/check.h"
-#include "common/crc32c.h"
+#include "engine/record_file.h"
 
 namespace blowfish {
 
 namespace {
 
-constexpr char kMagic[8] = {'B', 'F', 'L', 'J', 'R', 'N', 'L', '1'};
-constexpr uint32_t kFormatVersion = 1;
-constexpr size_t kHeaderBytes = 24;
-constexpr size_t kFrameOverhead = 8;  // u32 len + u32 masked crc
+using record_file::ByteReader;
+using record_file::ErrnoMessage;
+using record_file::kHeaderBytes;
+using record_file::PutF64;
+using record_file::PutLenPrefixed;
+using record_file::PutU16;
+using record_file::PutU32;
+using record_file::PutU64;
+
+constexpr std::string_view kMagic = "BFLJRNL1";
+constexpr std::string_view kNamePrefix = "journal-";
+constexpr std::string_view kNameSuffix = ".bfj";
 // Far above any real record (a record is one charge: a handful of
 // ledger lines); a larger claimed length is garbage, not data.
 constexpr uint32_t kMaxRecordBytes = 1u << 26;
 
-// ------------------------------------------ little-endian wire encode
-
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "IEEE double expected");
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutLenPrefixed(std::string* out, std::string_view s) {
-  // Ledger ids and workload tags are short by construction; a >64KiB
-  // tag is pathological and truncation only loses label detail, never
-  // accounting.
-  const size_t n = std::min<size_t>(s.size(), 0xFFFF);
-  PutU16(out, static_cast<uint16_t>(n));
-  out->append(s.data(), n);
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<uint8_t>(p[i]);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<uint8_t>(p[i]);
-  }
-  return v;
-}
-
-/// Bounds-checked record parser: every read that would run past the
-/// payload flips `ok` and yields zeros, so decode failure is a single
-/// flag check, never UB.
-struct ByteReader {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  bool Take(size_t n) {
-    if (!ok || static_cast<size_t>(end - p) < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint8_t U8() {
-    if (!Take(1)) return 0;
-    return static_cast<uint8_t>(*p++);
-  }
-  uint16_t U16() {
-    if (!Take(2)) return 0;
-    uint16_t v = static_cast<uint16_t>(static_cast<uint8_t>(p[0]) |
-                                       (static_cast<uint8_t>(p[1]) << 8));
-    p += 2;
-    return v;
-  }
-  uint32_t U32() {
-    if (!Take(4)) return 0;
-    uint32_t v = GetU32(p);
-    p += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Take(8)) return 0;
-    uint64_t v = GetU64(p);
-    p += 8;
-    return v;
-  }
-  double F64() {
-    uint64_t bits = U64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  bool Str(std::string* out) {
-    uint16_t n = U16();
-    if (!Take(n)) return false;
-    out->assign(p, n);
-    p += n;
-    return true;
-  }
-  bool done() const { return ok && p == end; }
-};
-
-bool DecodeRecord(const char* data, size_t n, JournalRecord* rec) {
-  ByteReader r{data, data + n};
+bool DecodeRecord(std::string_view payload, JournalRecord* rec) {
+  ByteReader r(payload);
   const uint8_t type = r.U8();
   if (type < 1 || type > 3) return false;
   rec->type = static_cast<JournalRecord::Type>(type);
@@ -166,23 +68,6 @@ bool DecodeRecord(const char* data, size_t n, JournalRecord* rec) {
     }
   }
   return r.done();  // trailing bytes under a valid CRC are corruption
-}
-
-bool IsSegmentName(const std::string& name) {
-  // journal-<16 hex>.bfj — fixed width, so lexicographic order is
-  // start-seq order.
-  if (name.size() != 8 + 16 + 4) return false;
-  if (name.compare(0, 8, "journal-") != 0) return false;
-  if (name.compare(24, 4, ".bfj") != 0) return false;
-  for (size_t i = 8; i < 24; ++i) {
-    const char c = name[i];
-    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-  }
-  return true;
-}
-
-std::string ErrnoMessage(const std::string& op, const std::string& path) {
-  return op + "(" + path + "): " + std::strerror(errno);
 }
 
 }  // namespace
@@ -217,27 +102,15 @@ void JournalEncodeRecord(const JournalRecord& record, std::string* out) {
 }
 
 void JournalFrameRecord(const std::string& payload, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32cMask(Crc32c(payload.data(), payload.size())));
-  out->append(payload);
+  record_file::AppendFrame(payload, out);
 }
 
 std::string JournalSegmentHeader(uint64_t start_seq) {
-  std::string h;
-  h.reserve(kHeaderBytes);
-  h.append(kMagic, sizeof(kMagic));
-  PutU32(&h, kFormatVersion);
-  PutU64(&h, start_seq);
-  PutU32(&h, Crc32c(h.data(), h.size()));
-  BF_DCHECK_EQ(h.size(), kHeaderBytes);
-  return h;
+  return record_file::Header(kMagic, start_seq);
 }
 
 std::string JournalSegmentName(uint64_t start_seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "journal-%016llx.bfj",
-                static_cast<unsigned long long>(start_seq));
-  return buf;
+  return record_file::FileName(kNamePrefix, start_seq, kNameSuffix);
 }
 
 // ------------------------------------------------------------ POSIX IO
@@ -361,16 +234,7 @@ class PosixIo : public JournalIo {
   }
 
   Status SyncDir(const std::string& dir) override {
-    const int fd = ::open(dir.c_str(), O_RDONLY);
-    if (fd < 0) return Status::IOError(ErrnoMessage("open", dir));
-    Status st = Status::OK();
-    if (::fsync(fd) != 0 && errno != EINVAL) {
-      // EINVAL: the filesystem cannot fsync directories — nothing more
-      // durable is available, so treat it as best-effort success.
-      st = Status::IOError(ErrnoMessage("fsync", dir));
-    }
-    ::close(fd);
-    return st;
+    return record_file::SyncDir(dir);
   }
 };
 
@@ -458,7 +322,9 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
   if (!listing.ok()) return listing.status();
   std::vector<std::string> names;
   for (const std::string& name : *listing) {
-    if (IsSegmentName(name)) names.push_back(name);
+    if (record_file::ParseFileName(name, kNamePrefix, kNameSuffix, nullptr)) {
+      names.push_back(name);
+    }
   }
   std::sort(names.begin(), names.end());
 
@@ -485,14 +351,17 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
     }
     const std::string& data = *data_r;
     seg.file_bytes = data.size();
+    const auto torn_at = [&](uint64_t good_bytes) {
+      report->torn_tail = true;
+      report->torn_segment = name;
+      report->torn_good_bytes = good_bytes;
+    };
 
-    // Segment header.
-    bool header_ok = data.size() >= kHeaderBytes &&
-                     std::memcmp(data.data(), kMagic, sizeof(kMagic)) == 0 &&
-                     GetU32(data.data() + 8) == kFormatVersion &&
-                     GetU32(data.data() + 20) == Crc32c(data.data(), 20);
-    uint64_t start_seq = header_ok ? GetU64(data.data() + 12) : 0;
-    if (header_ok && start_seq == 0) header_ok = false;  // seqs start at 1
+    // Segment header; seqs start at 1.
+    const record_file::ParsedHeader header =
+        record_file::ParseHeader(data, kMagic);
+    const bool header_ok =
+        header.status == record_file::HeaderStatus::kOk && header.id != 0;
     if (!header_ok) {
       if (last_segment && data.size() <= kHeaderBytes) {
         // A crash during rotation leaves a fresh segment with a
@@ -502,9 +371,7 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
         // bytes past it cannot be a rotation tear — deleting such a
         // file would discard acknowledged spends, and the damage is
         // reported as corruption instead.
-        report->torn_tail = true;
-        report->torn_segment = name;
-        report->torn_good_bytes = 0;
+        torn_at(0);
       } else {
         report->errors.push_back("segment " + name +
                                  ": invalid header (magic/version/crc)");
@@ -513,6 +380,7 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
       report->segments.push_back(seg);
       continue;
     }
+    const uint64_t start_seq = header.id;
     seg.start_seq = start_seq;
     seg.good_bytes = kHeaderBytes;
     if (expected_seq != 0 && start_seq != expected_seq) {
@@ -528,29 +396,22 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
     size_t off = kHeaderBytes;
     bool segment_failed = false;
     while (off < data.size()) {
-      const size_t avail = data.size() - off;
-      uint32_t len = 0;
-      bool incomplete = avail < kFrameOverhead;
-      if (!incomplete) {
-        len = GetU32(data.data() + off);
-        if (len > kMaxRecordBytes) {
-          report->errors.push_back("segment " + name + ": frame at byte " +
-                                   std::to_string(off) +
-                                   " claims absurd length " +
-                                   std::to_string(len));
-          segment_failed = true;
-          break;
-        }
-        incomplete = avail - kFrameOverhead < len;
+      const record_file::Frame frame =
+          record_file::ReadFrame(data, off, kMaxRecordBytes);
+      if (frame.status == record_file::FrameStatus::kOversized) {
+        report->errors.push_back("segment " + name + ": frame at byte " +
+                                 std::to_string(off) +
+                                 " claims absurd length " +
+                                 std::to_string(frame.len));
+        segment_failed = true;
+        break;
       }
-      if (incomplete) {
+      if (frame.status == record_file::FrameStatus::kPastEof) {
         // The frame runs past EOF — the classic crash-mid-append tear
         // when it is the journal's final bytes, corruption anywhere
         // else.
         if (last_segment) {
-          report->torn_tail = true;
-          report->torn_segment = name;
-          report->torn_good_bytes = off;
+          torn_at(off);
         } else {
           report->errors.push_back("segment " + name +
                                    ": truncated frame at byte " +
@@ -560,19 +421,15 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
         }
         break;
       }
-      const char* payload = data.data() + off + kFrameOverhead;
-      const uint32_t want_crc = Crc32cUnmask(GetU32(data.data() + off + 4));
-      if (Crc32c(payload, len) != want_crc) {
-        const bool at_eof = off + kFrameOverhead + len == data.size();
-        if (last_segment && at_eof) {
+      const size_t frame_end = off + record_file::kFrameOverhead + frame.len;
+      if (frame.status == record_file::FrameStatus::kCrcMismatch) {
+        if (last_segment && frame_end == data.size()) {
           // Final frame of the final segment: a crash can persist the
           // frame's pages partially (full length, wrong bytes), so a
           // CRC-bad *last* frame is a tear. The same mismatch with
           // valid data after it cannot be — truncating there would
           // discard acknowledged spends.
-          report->torn_tail = true;
-          report->torn_segment = name;
-          report->torn_good_bytes = off;
+          torn_at(off);
         } else {
           report->errors.push_back("segment " + name +
                                    ": CRC mismatch at byte " +
@@ -583,7 +440,7 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
         break;
       }
       JournalRecord rec;
-      if (!DecodeRecord(payload, len, &rec)) {
+      if (!DecodeRecord(frame.payload, &rec)) {
         report->errors.push_back("segment " + name +
                                  ": undecodable record at byte " +
                                  std::to_string(off) + " (CRC valid)");
@@ -652,7 +509,7 @@ Status LedgerJournal::Scan(const std::string& dir, JournalIo* io,
       ++report->records;
       ++seg.records;
       ++expected_seq;
-      off += kFrameOverhead + len;
+      off = frame_end;
       seg.good_bytes = off;
     }
     if (segment_failed) expected_seq = 0;
@@ -782,7 +639,7 @@ Status LedgerJournal::Recover(JournalScanReport report, bool allow_torn) {
   m_recovered_records_->Add(report.records);
 
   if (segment_names_.empty()) {
-    BF_RETURN_NOT_OK(RotateLocked(next_seq_, false));
+    BF_RETURN_NOT_OK(RotateLocked(next_seq_));
   } else {
     const std::string& name = segment_names_.back();
     Result<std::unique_ptr<JournalFile>> file =
@@ -861,7 +718,7 @@ Status LedgerJournal::WriteWithRetry(JournalFile* file, const char* data,
   return Status::OK();
 }
 
-Status LedgerJournal::RotateLocked(uint64_t start_seq, bool compact) {
+Status LedgerJournal::RotateLocked(uint64_t start_seq) {
   const std::string name = JournalSegmentName(start_seq);
   const std::string path = SegmentPath(name);
   // A previous failed rotation may have left a stale file under this
@@ -890,13 +747,6 @@ Status LedgerJournal::RotateLocked(uint64_t start_seq, bool compact) {
   active_ = std::move(file);
   active_name_ = name;
   active_bytes_ = header.size();
-  if (compact) {
-    for (const std::string& old : segment_names_) {
-      if (old != name) (void)io_->Remove(SegmentPath(old));
-    }
-    (void)io_->SyncDir(options_.dir);
-    segment_names_.clear();
-  }
   segment_names_.push_back(name);
   return Status::OK();
 }
@@ -905,12 +755,12 @@ Status LedgerJournal::AppendFramedLocked(const JournalRecord& record) {
   if (active_bytes_ >= options_.segment_bytes) {
     // Rotation failure is not fatal to the charge: the old segment
     // still appends fine, and the next append retries the rotation.
-    if (RotateLocked(record.seq, false).ok()) m_rotations_->Add(1);
+    if (RotateLocked(record.seq).ok()) m_rotations_->Add(1);
   }
 
   JournalEncodeRecord(record, &scratch_);
   std::string frame;
-  frame.reserve(scratch_.size() + kFrameOverhead);
+  frame.reserve(scratch_.size() + record_file::kFrameOverhead);
   JournalFrameRecord(scratch_, &frame);
 
   const uint64_t base = active_bytes_;
@@ -1023,7 +873,7 @@ Status LedgerJournal::Checkpoint(
   // The checkpoint opens a fresh segment; if anything past this point
   // fails, the old segments are still intact and recovery still works
   // (a header-only trailing segment is legal).
-  BF_RETURN_NOT_OK(RotateLocked(rec.seq, false));
+  BF_RETURN_NOT_OK(RotateLocked(rec.seq));
   BF_RETURN_NOT_OK(AppendFramedLocked(rec));
   ++next_seq_;
 

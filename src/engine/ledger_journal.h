@@ -16,19 +16,14 @@
 //   (StatusCode::kUnavailableDurability): the engine fails closed,
 //   never open.
 //
-// On-disk format. A journal is a directory of segment files named
-// `journal-<start_seq:016x>.bfj`. Each segment is a 24-byte header
-// (magic "BFLJRNL1", format version, the seq of its first record, a
-// CRC32C over the preceding fields) followed by length-prefixed
-// frames:
-//
-//   [u32 payload_len][u32 masked_crc32c(payload)][payload]
-//
-// A payload is one record — spend, refusal, or checkpoint — carrying
-// the same fields as the ε-audit ring's AuditEvent (ε, parallel count,
-// workload tag, shared plan context, per-ledger post-charge balances)
-// plus a dense monotonic seq. All integers are little-endian; doubles
-// are IEEE bit patterns, so replay is bit-exact.
+// On-disk format. A journal is a directory of record files
+// (engine/record_file.h) named `journal-<start_seq:016x>.bfj`, with
+// magic "BFLJRNL1" and the segment's first seq as the header id. Each
+// frame's payload is one record — spend, refusal, or checkpoint —
+// carrying the same fields as the ε-audit ring's AuditEvent (ε,
+// parallel count, workload tag, shared plan context, per-ledger
+// post-charge balances) plus a dense monotonic seq; replay is
+// bit-exact.
 //
 // Rotation & compaction. Append() starts a new segment when the
 // active one exceeds `segment_bytes`, and flags `checkpoint_due()`;
@@ -390,9 +385,8 @@ class LedgerJournal {
                         uint64_t base_offset, uint64_t seq, size_t* landed)
       REQUIRES(mu_);
   /// Creates segment `start_seq` (header written + synced); on success
-  /// replaces the active segment. `compact` additionally deletes every
-  /// prior segment after the swap.
-  Status RotateLocked(uint64_t start_seq, bool compact) REQUIRES(mu_);
+  /// replaces the active segment.
+  Status RotateLocked(uint64_t start_seq) REQUIRES(mu_);
   /// Open's recovery step: repairs an allowed torn tail, adopts the
   /// scanned segments and recovered ledgers, and opens the active
   /// segment for appends.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -70,21 +71,6 @@ FlightOutcome FlightOutcomeOf(const Status& status) {
 uint32_t Micros(std::chrono::steady_clock::duration elapsed) {
   return static_cast<uint32_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
-}
-
-void AppendHealthzString(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    if (c == '\\' || c == '"') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out->push_back(' ');
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -330,7 +316,7 @@ HealthReport QueryEngine::Healthz() const {
   body = "{\"ok\":";
   body += report.ok ? "true" : "false";
   body += ",\"durability\":";
-  AppendHealthzString(durability.ok() ? "OK" : durability.ToString(), &body);
+  AppendJsonString(durability.ok() ? "OK" : durability.ToString(), &body);
   body += ",\"snapshot_generation\":";
   body += std::to_string(snapshot_restore_stats_.generation);
   body += ",\"burn_alerts_active\":";
@@ -496,14 +482,18 @@ void QueryEngine::RestoreFromSnapshot() {
     // Structural validation first: a snapshot section decodes under
     // its CRC, but restore still refuses shapes the engine could
     // crash on. Refusal means "skip" — the operator re-registers the
-    // policy as on any cold start.
-    DomainShape domain(sp.dims);
-    if (sp.registered_name.empty() || domain.size() == 0 ||
-        domain.size() != sp.num_vertices ||
-        sp.data.size() != domain.size()) {
+    // policy as on any cold start. DomainShape aborts on a zero dim,
+    // so the cell count is checked (without overflow) before it.
+    size_t cells = sp.dims.empty() ? 0 : 1;
+    for (const size_t d : sp.dims) {
+      cells = d != 0 && cells <= SIZE_MAX / d ? cells * d : 0;
+    }
+    if (sp.registered_name.empty() || cells == 0 ||
+        cells != sp.num_vertices || sp.data.size() != cells) {
       ++snapshot_restore_stats_.items_skipped;
       continue;
     }
+    DomainShape domain(sp.dims);
     Graph graph(sp.num_vertices);
     bool edges_ok = true;
     for (const Graph::Edge& e : sp.edges) {
@@ -642,8 +632,7 @@ Status QueryEngine::WriteSnapshot() {
     image.policies.push_back(std::move(sp));
   }
 
-  return snapshot::Write(options_.snapshot_path, image,
-                         options_.snapshot_keep_generations);
+  return snapshot::Write(options_.snapshot_path, image);
 }
 
 std::string QueryEngine::SessionLedger(const std::string& session_id) {

@@ -217,10 +217,6 @@ struct EngineOptions {
   /// recomputable caches. WriteSnapshot() persists the next
   /// generation.
   std::string snapshot_path;
-  /// Snapshot generations retained on disk after a successful
-  /// WriteSnapshot (>= 1 enforced; 2 keeps one fallback for a torn
-  /// newest file).
-  size_t snapshot_keep_generations = 2;
 };
 
 /// \brief One query: a linear workload against a registered policy,

@@ -9,153 +9,38 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
-#include "common/crc32c.h"
+#include "engine/record_file.h"
 
 namespace blowfish {
 
 namespace {
 
-constexpr char kMagic[8] = {'B', 'F', 'S', 'N', 'A', 'P', 'S', '1'};
-constexpr uint32_t kFormatVersion = 1;
-constexpr size_t kHeaderBytes = 24;
-constexpr size_t kFrameOverhead = 8;  // u32 len + u32 masked crc
+using record_file::ByteReader;
+using record_file::ErrnoMessage;
+using record_file::kFrameOverhead;
+using record_file::kHeaderBytes;
+using record_file::PutF64;
+using record_file::PutLenPrefixed;
+using record_file::PutU32;
+using record_file::PutU64;
+
+constexpr std::string_view kMagic = "BFSNAPS1";
+constexpr std::string_view kNamePrefix = "snapshot-";
+constexpr std::string_view kNameSuffix = ".bfs";
 // A section is one policy (graph + data) or one transform; even a
 // millions-of-edges graph stays far under this. A larger claimed
 // length is garbage, not data.
 constexpr uint32_t kMaxSectionBytes = 1u << 30;
+// Generations kept after a write: the newest plus one fallback for a
+// future torn write.
+constexpr size_t kKeepGenerations = 2;
 
 constexpr uint8_t kSectionPolicy = 1;
 constexpr uint8_t kSectionTransform = 2;
 constexpr uint8_t kSectionFooter = 3;
-
-// ------------------------------------------ little-endian wire encode
-
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "IEEE double expected");
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutLenPrefixed(std::string* out, std::string_view s) {
-  // Policy names and family tags are short by construction.
-  const size_t n = std::min<size_t>(s.size(), 0xFFFF);
-  PutU16(out, static_cast<uint16_t>(n));
-  out->append(s.data(), n);
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<uint8_t>(p[i]);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<uint8_t>(p[i]);
-  }
-  return v;
-}
-
-/// Bounds-checked section parser (same contract as the journal's):
-/// any read past the payload flips `ok` and yields zeros, so decode
-/// failure is one flag check, never UB.
-struct ByteReader {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  bool Take(size_t n) {
-    if (!ok || static_cast<size_t>(end - p) < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint8_t U8() {
-    if (!Take(1)) return 0;
-    return static_cast<uint8_t>(*p++);
-  }
-  uint16_t U16() {
-    if (!Take(2)) return 0;
-    uint16_t v = static_cast<uint16_t>(static_cast<uint8_t>(p[0]) |
-                                       (static_cast<uint8_t>(p[1]) << 8));
-    p += 2;
-    return v;
-  }
-  uint32_t U32() {
-    if (!Take(4)) return 0;
-    uint32_t v = GetU32(p);
-    p += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Take(8)) return 0;
-    uint64_t v = GetU64(p);
-    p += 8;
-    return v;
-  }
-  double F64() {
-    uint64_t bits = U64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  bool Str(std::string* out) {
-    uint16_t n = U16();
-    if (!Take(n)) return false;
-    out->assign(p, n);
-    p += n;
-    return true;
-  }
-  bool done() const { return ok && p == end; }
-};
-
-std::string ErrnoMessage(const std::string& op, const std::string& path) {
-  return op + "(" + path + "): " + std::strerror(errno);
-}
-
-bool IsSnapshotName(const std::string& name) {
-  // snapshot-<16 hex>.bfs — fixed width, so lexicographic order is
-  // generation order.
-  if (name.size() != 9 + 16 + 4) return false;
-  if (name.compare(0, 9, "snapshot-") != 0) return false;
-  if (name.compare(25, 4, ".bfs") != 0) return false;
-  for (size_t i = 9; i < 25; ++i) {
-    const char c = name[i];
-    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-  }
-  return true;
-}
-
-uint64_t GenerationOf(const std::string& name) {
-  return std::strtoull(name.substr(9, 16).c_str(), nullptr, 16);
-}
 
 // ------------------------------------------------------- section codec
 
@@ -166,7 +51,7 @@ void EncodeVector(const Vector& v, std::string* out) {
 
 bool DecodeVector(ByteReader* r, Vector* v) {
   const uint64_t n = r->U64();
-  if (!r->Take(n * 8)) return false;
+  if (!r->TakeArray(n, 8)) return false;
   v->resize(n);
   for (uint64_t i = 0; i < n; ++i) (*v)[i] = r->F64();
   return r->ok;
@@ -202,12 +87,12 @@ bool DecodePolicySection(ByteReader* r, SnapshotPolicy* p) {
   p->version = r->U64();
   p->epsilon_cap = r->F64();
   const uint32_t ndims = r->U32();
-  if (!r->Take(ndims * 8)) return false;
+  if (!r->TakeArray(ndims, 8)) return false;
   p->dims.resize(ndims);
   for (uint32_t i = 0; i < ndims; ++i) p->dims[i] = r->U64();
   p->num_vertices = r->U64();
   const uint64_t nedges = r->U64();
-  if (!r->Take(nedges * 16)) return false;
+  if (!r->TakeArray(nedges, 16)) return false;
   p->edges.resize(nedges);
   for (uint64_t i = 0; i < nedges; ++i) {
     p->edges[i].u = r->U64();
@@ -247,46 +132,33 @@ bool DecodeTransformSection(ByteReader* r, SnapshotTransform* t) {
     if (!DecodeVector(r, &t->payload.vectors[i])) return false;
   }
   const uint8_t nscalar = r->U8();
-  if (!r->Take(nscalar * 8)) return false;
+  if (!r->TakeArray(nscalar, 8)) return false;
   t->payload.scalars.resize(nscalar);
   for (uint8_t i = 0; i < nscalar; ++i) t->payload.scalars[i] = r->F64();
   return r->done();
 }
 
-void AppendFrame(const std::string& payload, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32cMask(Crc32c(payload.data(), payload.size())));
-  out->append(payload);
-}
-
 std::string SerializeImage(const SnapshotImage& image, uint64_t generation) {
-  std::string out;
-  out.reserve(kHeaderBytes);
-  out.append(kMagic, sizeof(kMagic));
-  PutU32(&out, kFormatVersion);
-  PutU64(&out, generation);
-  PutU32(&out, Crc32c(out.data(), out.size()));
-  BF_DCHECK_EQ(out.size(), kHeaderBytes);
-
+  std::string out = record_file::Header(kMagic, generation);
   std::string payload;
   size_t sections = 0;
   for (const SnapshotPolicy& p : image.policies) {
     payload.clear();
     EncodePolicySection(p, &payload);
-    AppendFrame(payload, &out);
+    record_file::AppendFrame(payload, &out);
     ++sections;
   }
   for (const SnapshotTransform& t : image.transforms) {
     payload.clear();
     EncodeTransformSection(t, &payload);
-    AppendFrame(payload, &out);
+    record_file::AppendFrame(payload, &out);
     ++sections;
   }
   payload.clear();
   payload.push_back(static_cast<char>(kSectionFooter));
   PutU32(&payload, static_cast<uint32_t>(sections));
   PutU64(&payload, generation);
-  AppendFrame(payload, &out);
+  record_file::AppendFrame(payload, &out);
   return out;
 }
 
@@ -338,51 +210,51 @@ class MappedFile {
 /// the file is fully valid (header, every frame, footer); on false
 /// the report explains why, and `image` may hold a partial decode the
 /// caller must discard.
-bool ParseMapped(const char* data, size_t size, SnapshotImage* image,
+bool ParseMapped(std::string_view file, SnapshotImage* image,
                  snapshot::VerifyReport* report) {
   report->valid_prefix_bytes = 0;
-  if (size < kHeaderBytes) {
-    report->errors.push_back("file shorter than the 24-byte header");
-    return false;
+  const record_file::ParsedHeader header =
+      record_file::ParseHeader(file, kMagic);
+  switch (header.status) {
+    case record_file::HeaderStatus::kOk:
+      break;
+    case record_file::HeaderStatus::kShort:
+      report->errors.push_back("file shorter than the 24-byte header");
+      return false;
+    case record_file::HeaderStatus::kBadMagic:
+      report->errors.push_back("bad magic (not a snapshot file)");
+      return false;
+    case record_file::HeaderStatus::kBadCrc:
+      report->errors.push_back("header CRC mismatch (torn header)");
+      return false;
+    case record_file::HeaderStatus::kBadVersion:
+      report->errors.push_back("unsupported format version " +
+                               std::to_string(header.version));
+      return false;
   }
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
-    report->errors.push_back("bad magic (not a snapshot file)");
-    return false;
-  }
-  const uint32_t format = GetU32(data + 8);
-  const uint64_t generation = GetU64(data + 12);
-  const uint32_t header_crc = GetU32(data + 20);
-  if (Crc32c(data, 20) != header_crc) {
-    report->errors.push_back("header CRC mismatch (torn header)");
-    return false;
-  }
-  if (format != kFormatVersion) {
-    report->errors.push_back("unsupported format version " +
-                             std::to_string(format));
-    return false;
-  }
+  const uint64_t generation = header.id;
   report->generation = generation;
   image->generation = generation;
   report->valid_prefix_bytes = kHeaderBytes;
 
   size_t offset = kHeaderBytes;
   uint32_t footer_sections = 0;
-  while (offset < size) {
-    if (size - offset < kFrameOverhead) {
+  while (offset < file.size()) {
+    if (file.size() - offset < kFrameOverhead) {
       report->errors.push_back("truncated frame header at byte " +
                                std::to_string(offset));
       return false;
     }
-    const uint32_t len = GetU32(data + offset);
-    const uint32_t masked_crc = GetU32(data + offset + 4);
-    if (len == 0 || len > kMaxSectionBytes ||
-        len > size - offset - kFrameOverhead) {
+    const record_file::Frame frame =
+        record_file::ReadFrame(file, offset, kMaxSectionBytes);
+    if (frame.status == record_file::FrameStatus::kPastEof ||
+        frame.status == record_file::FrameStatus::kOversized ||
+        frame.len == 0) {
       report->errors.push_back("truncated or oversized section at byte " +
                                std::to_string(offset));
       return false;
     }
-    const char* payload = data + offset + kFrameOverhead;
-    if (Crc32c(payload, len) != Crc32cUnmask(masked_crc)) {
+    if (frame.status == record_file::FrameStatus::kCrcMismatch) {
       report->errors.push_back("section CRC mismatch at byte " +
                                std::to_string(offset));
       return false;
@@ -392,7 +264,7 @@ bool ParseMapped(const char* data, size_t size, SnapshotImage* image,
                                std::to_string(offset));
       return false;
     }
-    ByteReader r{payload, payload + len};
+    ByteReader r(frame.payload);
     const uint8_t type = r.U8();
     bool decoded = false;
     switch (type) {
@@ -431,7 +303,7 @@ bool ParseMapped(const char* data, size_t size, SnapshotImage* image,
       return false;
     }
     ++report->sections;
-    offset += kFrameOverhead + len;
+    offset += kFrameOverhead + frame.len;
     report->valid_prefix_bytes = offset;
   }
   if (!report->footer_ok) {
@@ -446,36 +318,6 @@ bool ParseMapped(const char* data, size_t size, SnapshotImage* image,
     return false;
   }
   return true;
-}
-
-Status ListSnapshotNames(const std::string& dir,
-                         std::vector<std::string>* names) {
-  names->clear();
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    if (errno == ENOENT) return Status::OK();
-    return Status::IOError(ErrnoMessage("opendir", dir));
-  }
-  for (struct dirent* e = ::readdir(d); e != nullptr; e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    if (IsSnapshotName(name)) names->push_back(name);
-  }
-  ::closedir(d);
-  std::sort(names->begin(), names->end());
-  return Status::OK();
-}
-
-Status SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return Status::IOError(ErrnoMessage("open", dir));
-  const int rc = ::fsync(fd);
-  const int saved = errno;
-  ::close(fd);
-  if (rc != 0) {
-    errno = saved;
-    return Status::IOError(ErrnoMessage("fsync", dir));
-  }
-  return Status::OK();
 }
 
 Status WriteFileDurably(const std::string& path, const std::string& bytes) {
@@ -508,30 +350,44 @@ Status WriteFileDurably(const std::string& path, const std::string& bytes) {
 namespace snapshot {
 
 std::string FileName(uint64_t generation) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "snapshot-%016llx.bfs",
-                static_cast<unsigned long long>(generation));
-  return buf;
+  return record_file::FileName(kNamePrefix, generation, kNameSuffix);
 }
 
 Result<std::vector<std::string>> ListFiles(const std::string& dir) {
   std::vector<std::string> names;
-  BF_RETURN_NOT_OK(ListSnapshotNames(dir, &names));
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) {
+    if (errno == ENOENT) return names;
+    return Status::IOError(ErrnoMessage("opendir", dir));
+  }
+  for (struct dirent* e = ::readdir(d); e != nullptr; e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    if (record_file::ParseFileName(name, kNamePrefix, kNameSuffix, nullptr)) {
+      names.push_back(name);
+    }
+  }
+  ::closedir(d);
+  std::sort(names.begin(), names.end());
   return names;
 }
 
 Status Write(const std::string& dir, const SnapshotImage& image,
-             size_t keep_generations, uint64_t* generation_out) {
+             uint64_t* generation_out) {
   if (dir.empty()) {
     return Status::InvalidArgument("snapshot directory not configured");
   }
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return Status::IOError(ErrnoMessage("mkdir", dir));
   }
-  std::vector<std::string> names;
-  BF_RETURN_NOT_OK(ListSnapshotNames(dir, &names));
-  const uint64_t generation =
-      names.empty() ? 1 : GenerationOf(names.back()) + 1;
+  Result<std::vector<std::string>> listed = ListFiles(dir);
+  if (!listed.ok()) return listed.status();
+  std::vector<std::string> names = std::move(listed).ValueOrDie();
+  uint64_t newest = 0;
+  if (!names.empty()) {
+    record_file::ParseFileName(names.back(), kNamePrefix, kNameSuffix,
+                               &newest);
+  }
+  const uint64_t generation = newest + 1;
 
   const std::string bytes = SerializeImage(image, generation);
   const std::string final_path = dir + "/" + FileName(generation);
@@ -540,18 +396,14 @@ Status Write(const std::string& dir, const SnapshotImage& image,
   if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     return Status::IOError(ErrnoMessage("rename", final_path));
   }
-  BF_RETURN_NOT_OK(SyncDir(dir));
+  BF_RETURN_NOT_OK(record_file::SyncDir(dir));
 
   // Prune: the new generation is durable, so older files beyond the
-  // keep window are dead weight. Keep >= 1 older generation when
-  // asked to, as the fallback for a future torn write.
-  const size_t keep = std::max<size_t>(keep_generations, 1);
+  // keep window are dead weight.
   names.push_back(FileName(generation));
-  if (names.size() > keep) {
-    for (size_t i = 0; i + keep < names.size(); ++i) {
-      // Best effort: a surviving stale file is re-pruned next write.
-      ::unlink((dir + "/" + names[i]).c_str());
-    }
+  for (size_t i = 0; i + kKeepGenerations < names.size(); ++i) {
+    // Best effort: a surviving stale file is re-pruned next write.
+    ::unlink((dir + "/" + names[i]).c_str());
   }
   if (generation_out != nullptr) *generation_out = generation;
   return Status::OK();
@@ -565,16 +417,15 @@ Status OpenLatest(const std::string& dir, SnapshotImage* image,
   if (dir.empty()) {
     return Status::InvalidArgument("snapshot directory not configured");
   }
-  std::vector<std::string> names;
-  const Status list = ListSnapshotNames(dir, &names);
-  if (!list.ok()) {
+  const Result<std::vector<std::string>> names = ListFiles(dir);
+  if (!names.ok()) {
     // Unreadable directory is a cold start, not a refusal.
-    report->skipped.push_back(dir + ": " + list.message());
+    report->skipped.push_back(dir + ": " + names.status().message());
     return Status::OK();
   }
   // Newest first: a valid newer generation always wins; corrupt files
   // fall back to the previous generation.
-  for (auto it = names.rbegin(); it != names.rend(); ++it) {
+  for (auto it = names->rbegin(); it != names->rend(); ++it) {
     const std::string path = dir + "/" + *it;
     MappedFile mapped;
     const Status map = MappedFile::Map(path, &mapped);
@@ -584,7 +435,7 @@ Status OpenLatest(const std::string& dir, SnapshotImage* image,
     }
     SnapshotImage candidate;
     VerifyReport verify;
-    if (ParseMapped(mapped.data(), mapped.size(), &candidate, &verify)) {
+    if (ParseMapped({mapped.data(), mapped.size()}, &candidate, &verify)) {
       *image = std::move(candidate);
       report->loaded = true;
       report->generation = verify.generation;
@@ -604,7 +455,7 @@ Status Verify(const std::string& path, VerifyReport* report) {
   MappedFile mapped;
   BF_RETURN_NOT_OK(MappedFile::Map(path, &mapped));
   SnapshotImage image;
-  ParseMapped(mapped.data(), mapped.size(), &image, report);
+  ParseMapped({mapped.data(), mapped.size()}, &image, report);
   return Status::OK();
 }
 

@@ -6,14 +6,10 @@
 // for — so a restarted replica readmits warm traffic without
 // recomputing anything.
 //
-// File format (`snapshot-<generation:016x>.bfs`, little-endian):
-//
-//   header (24 bytes):
-//     magic "BFSNAPS1" | u32 format version | u64 generation |
-//     u32 CRC32C over the preceding 20 bytes
-//   then a sequence of frames, each:
-//     u32 payload_len | u32 masked CRC32C(payload) | payload
-//   payload[0] is the section type:
+// File format: a record file (engine/record_file.h) named
+// `snapshot-<generation:016x>.bfs` with magic "BFSNAPS1" and the
+// generation as its header id. Each frame's payload[0] is the section
+// type:
 //     kPolicy    1: one registered policy (graph, domain, data,
 //                   epsilon cap, version, plan-slot hints)
 //     kTransform 2: one cached precompute, keyed
@@ -121,11 +117,10 @@ struct VerifyReport {
 /// Serializes `image` as the next generation under `dir` (created if
 /// missing): generation = newest existing + 1, written atomically
 /// (tmp + fsync + rename + dir fsync). Afterwards prunes all but the
-/// newest `keep_generations` files (always keeps >= 1). On success
+/// newest two generations (one fallback for a torn newest file).
 /// `image.generation` is ignored; the chosen generation is returned
 /// through `*generation_out` when non-null.
 [[nodiscard]] Status Write(const std::string& dir, const SnapshotImage& image,
-                           size_t keep_generations,
                            uint64_t* generation_out = nullptr);
 
 /// Maps the newest valid generation under `dir` into `*image`.

@@ -34,31 +34,6 @@ void AppendI64(int64_t v, std::string* out) {
   out->append(buf);
 }
 
-/// Minimal JSON string escape (quotes, backslash, control characters —
-/// policy ledger ids embed '\x1f').
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 /// Prometheus label-value escape (exposition format): backslash,
 /// double quote, and newline get backslash escapes; everything else
 /// passes through verbatim.
@@ -99,6 +74,29 @@ void AppendPromHeader(const std::string& name, const std::string& help,
 }
 
 }  // namespace
+
+void AppendJsonString(std::string_view s, std::string* out) {
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out->append(buf);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
 
 // ---------------------------------------------------------- histogram
 

@@ -675,6 +675,10 @@ struct BurnAlert {
 
 // ------------------------------------------------------- bounded ring
 
+/// Appends `s` as a quoted JSON string: quotes, backslash and every
+/// control character are escaped (policy ledger ids embed '\x1f').
+void AppendJsonString(std::string_view s, std::string* out);
+
 /// JSONL encoders, one per ring record type; doubles print as %.17g so
 /// they round-trip exactly. Audit and burn lines lead with `{"seq":`
 /// (what ReplayJsonl parses); trace lines lead with `{"trace_id":` and

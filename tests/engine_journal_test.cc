@@ -394,6 +394,60 @@ TEST_F(JournalTest, CheckpointCarriesUnclaimedRecoveredBalances) {
   EXPECT_FALSE(led.has_total);  // cap was never known
 }
 
+// ---------------------------------------------------------- format pin
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    hex.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<uint8_t>(c) & 0xF]);
+  }
+  return hex;
+}
+
+TEST(JournalFormatTest, SegmentBytesArePinned) {
+  // One segment holding a spend, a refusal and a checkpoint, byte for
+  // byte: a change to the header, the frame, or the record codec breaks
+  // every journal already on disk, so it must show up here first.
+  JournalRecord spend;
+  spend.type = JournalRecord::Type::kSpend;
+  spend.seq = 1;
+  spend.wall_micros = 1700000000000000;
+  spend.parallel_count = 2;
+  spend.epsilon = 0.25;
+  spend.workload = "w";
+  spend.context = "ctx";
+  spend.ledgers = {{"session/alice", 0.75}, {"salaries\x1f" "1", 3.75}};
+  JournalRecord refusal;
+  refusal.type = JournalRecord::Type::kRefusal;
+  refusal.seq = 2;
+  refusal.wall_micros = 1700000000000001;
+  refusal.refusal = static_cast<uint8_t>(StatusCode::kOutOfRange);
+  refusal.epsilon = 5.0;
+  refusal.workload = "w";
+  refusal.ledgers = {{"session/alice", 0.75}};
+  JournalRecord checkpoint;
+  checkpoint.type = JournalRecord::Type::kCheckpoint;
+  checkpoint.seq = 3;
+  checkpoint.wall_micros = 1700000000000002;
+  checkpoint.checkpoint = {{"session/alice", 1.0, 0.25}, {"orphan", -1.0, 0.5}};
+
+  const std::string segment = JournalSegmentHeader(1) + Frame(spend) +
+                              Frame(refusal) + Frame(checkpoint);
+  EXPECT_EQ(JournalSegmentName(1), "journal-0000000000000001.bfj");
+  EXPECT_EQ(Hex(segment),
+            "42464c4a524e4c3101000000010000000000000090df6da053000000fc2720a8"
+            "01010000000000000000401e18240a06000002000000000000000000d03f0100"
+            "77030063747802000d0073657373696f6e2f616c696365000000000000e83f0a"
+            "0073616c61726965731f310000000000000e403c000000b9d72e540202000000"
+            "0000000001401e18240a06000201000000000000000000144001007700000100"
+            "0d0073657373696f6e2f616c696365000000000000e83f4c00000080d8219403"
+            "030000000000000002401e18240a0600020000000d0073657373696f6e2f616c"
+            "696365000000000000f03f000000000000d03f06006f727068616e0000000000"
+            "00f0bf000000000000e03f");
+}
+
 // ------------------------------------------- accountant journal lines
 
 TEST_F(JournalTest, WideChargeJournalsEveryLine) {
@@ -630,6 +684,40 @@ TEST_F(JournalTest, EngineRecoversBalancesBitExact) {
   EXPECT_TRUE(BitEqual(engine->PolicyRemaining("salaries").ValueOrDie(),
                        policy_remaining));
   EXPECT_TRUE(engine->durability_health().ok());
+}
+
+TEST_F(JournalTest, OverlongLedgerIdRefusedAndLongIdSpendSurvivesReopen) {
+  // The journal writes ledger ids with a u16 length. An id past that
+  // limit would replay under a truncated id, so re-opening the full id
+  // would start from a refilled budget: it is refused up front instead.
+  EngineOptions options;
+  options.seed = 7;
+  options.journal_path = dir_;
+  const std::string too_long(70000, 'a');
+  const std::string longest(60000, 'b');
+  double remaining = 0.0;
+  {
+    auto engine = QueryEngine::Open(options).ValueOrDie();
+    const Status refused = engine->OpenSession(too_long, 1.0);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+        << refused.ToString();
+    ASSERT_TRUE(engine->RegisterPolicy("salaries", LinePolicy(16),
+                                       Ramp(16, 13), 4.0)
+                    .ok());
+    ASSERT_TRUE(engine->OpenSession(longest, 1.0).ok());
+    QueryRequest request;
+    request.session = longest;
+    request.policy = "salaries";
+    request.workload = IdentityWorkload(16);
+    request.epsilon = 0.9;
+    ASSERT_TRUE(engine->Submit(request).ok());
+    remaining = engine->SessionRemaining(longest).ValueOrDie();
+    EXPECT_LT(remaining, 0.2);
+  }
+  auto engine = QueryEngine::Open(options).ValueOrDie();
+  ASSERT_TRUE(engine->OpenSession(longest, 1.0).ok());
+  EXPECT_TRUE(BitEqual(engine->SessionRemaining(longest).ValueOrDie(),
+                       remaining));
 }
 
 TEST_F(JournalTest, EngineJournalFailureRefusesChargeAndDrawsNoNoise) {

@@ -8,7 +8,9 @@
 //     start, a corrupt newest generation falls back to the previous
 //     one, and when nothing valid remains the engine still serves —
 //     corruption can make restart slower, never turn into a refusal;
-//   * WriteSnapshot is atomic and prunes to keep_generations.
+//   * WriteSnapshot is atomic and keeps the newest two generations;
+//   * the file bytes are pinned, and a crafted section whose counts
+//     overflow a bounds check is skipped as corrupt, never a crash.
 //
 // The corruption matrix covers the five cases the issue names:
 // missing store, torn header, truncated section, CRC mismatch
@@ -19,12 +21,15 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "core/policy.h"
 #include "engine/query_engine.h"
 #include "engine/snapshot_store.h"
@@ -369,6 +374,222 @@ TEST(SnapshotStoreTest, VerifyDistinguishesTornTailFromMidFileDamage) {
   EXPECT_FALSE(flip_report.errors.empty());
   EXPECT_LT(flip_report.valid_prefix_bytes, pristine.size());
 
+  RemoveTree(dir);
+}
+
+// ---- byte-level format ----------------------------------------------
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const uint8_t b : bytes) {
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xF]);
+  }
+  return hex;
+}
+
+// Two policies (one with a ⊥ edge) and one transform, every field set.
+SnapshotImage FixedImage() {
+  SnapshotImage image;
+  SnapshotPolicy line;
+  line.registered_name = "line";
+  line.policy_name = "L_4";
+  line.version = 1;
+  line.epsilon_cap = 2.0;
+  line.dims = {4};
+  line.num_vertices = 4;
+  line.edges = {{0, 1}, {1, 2}, {2, 3}};
+  line.data = {1.0, 2.0, 3.0, 4.0};
+  line.plan_hints = {{0, "tree", 0}};
+  SnapshotPolicy grid;
+  grid.registered_name = "grid";
+  grid.policy_name = "G_2x2";
+  grid.version = 3;
+  grid.epsilon_cap = 1.5;
+  grid.dims = {2, 2};
+  grid.num_vertices = 4;
+  grid.edges = {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, Graph::kBottom}};
+  grid.data = {0.5, 0.0, 0.0, 1.0};
+  grid.plan_hints = {{1, "spanner", 3}};
+  image.policies = {line, grid};
+  SnapshotTransform transform;
+  transform.registered_name = "line";
+  transform.version = 1;
+  transform.family = "tree/1";
+  transform.payload.vectors = {{0.5, -1.25}};
+  transform.payload.scalars = {2.0};
+  image.transforms = {transform};
+  return image;
+}
+
+TEST(SnapshotStoreTest, FileBytesArePinned) {
+  // A change to the header, the frame, or a section codec makes every
+  // snapshot already on disk unreadable, so it must show up here first.
+  const std::string dir = MakeTempDir();
+  uint64_t generation = 0;
+  ASSERT_TRUE(snapshot::Write(dir, FixedImage(), &generation).ok());
+  ASSERT_EQ(generation, 1u);
+  EXPECT_EQ(snapshot::FileName(1), "snapshot-0000000000000001.bfs");
+  EXPECT_EQ(Hex(ReadFileBytes(dir + "/" + snapshot::FileName(1))),
+            "4246534e415053310100000001000000000000001622362ca00000002f3290e6"
+            "0104006c696e6503004c5f340100000000000000000000000000004001000000"
+            "0400000000000000040000000000000003000000000000000000000000000000"
+            "0100000000000000010000000000000002000000000000000200000000000000"
+            "03000000000000000400000000000000000000000000f03f0000000000000040"
+            "0000000000000840000000000000104001000400747265650000000000000000"
+            "cd0000007bf34a83010400677269640500475f32783203000000000000000000"
+            "00000000f83f0200000002000000000000000200000000000000040000000000"
+            "0000050000000000000000000000000000000100000000000000000000000000"
+            "0000020000000000000001000000000000000300000000000000020000000000"
+            "000003000000000000000300000000000000ffffffffffffffff040000000000"
+            "0000000000000000e03f00000000000000000000000000000000000000000000"
+            "f03f010107007370616e6e657203000000000000003a00000080a5d031020400"
+            "6c696e650100000000000000000600747265652f310102000000000000000000"
+            "00000000e03f000000000000f4bf0100000000000000400d000000dfd9fc7a03"
+            "030000000100000000000000");
+  RemoveTree(dir);
+}
+
+// The test's own copy of the wire format, so crafted files do not
+// depend on the encoder under test.
+void PutLE(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+void PutStr(std::string* out, const std::string& s) {
+  PutLE(out, s.size(), 2);
+  out->append(s);
+}
+
+void PutFrame(const std::string& payload, std::string* out) {
+  PutLE(out, payload.size(), 4);
+  PutLE(out, Crc32cMask(Crc32c(payload.data(), payload.size())), 4);
+  out->append(payload);
+}
+
+// A generation file: valid header, `sections` framed with valid CRCs,
+// and a valid footer counting them.
+void WriteCrafted(const std::string& path, uint64_t generation,
+                  const std::vector<std::string>& sections) {
+  std::string file = "BFSNAPS1";
+  PutLE(&file, 1, 4);
+  PutLE(&file, generation, 8);
+  PutLE(&file, Crc32c(file.data(), file.size()), 4);
+  for (const std::string& section : sections) PutFrame(section, &file);
+  std::string footer(1, '\x03');
+  PutLE(&footer, sections.size(), 4);
+  PutLE(&footer, generation, 8);
+  PutFrame(footer, &file);
+  WriteFileBytes(path, std::vector<uint8_t>(file.begin(), file.end()));
+}
+
+TEST(SnapshotStoreTest, OverflowingSectionCountsAreCorruptNotCrash) {
+  // Each section claims an element count whose byte size overflows the
+  // bounds check's multiply (64-bit for the vector and edge counts,
+  // 32-bit for the dims count), so a wrapped check would pass and
+  // resize() would run on the untrusted count.
+  std::string vector_len(1, '\x02');  // transform: vector of 2^61 doubles
+  PutStr(&vector_len, "line");
+  PutLE(&vector_len, 1, 8);           // version
+  PutLE(&vector_len, 0, 1);           // data_dependent
+  PutStr(&vector_len, "tree/1");
+  PutLE(&vector_len, 1, 1);           // one vector
+  PutLE(&vector_len, uint64_t{1} << 61, 8);
+  PutLE(&vector_len, 0, 8);
+
+  std::string policy_head(1, '\x01');  // policy: names, version, cap
+  PutStr(&policy_head, "line");
+  PutStr(&policy_head, "L_4");
+  PutLE(&policy_head, 1, 8);
+  PutLE(&policy_head, 0, 8);
+  std::string dims_count = policy_head;  // 0xE0000001 * 8 wraps to 8
+  PutLE(&dims_count, 0xE0000001u, 4);
+  PutLE(&dims_count, 4, 8);
+  std::string edge_count = policy_head;  // (2^60 + 1) * 16 wraps to 16
+  PutLE(&edge_count, 1, 4);
+  PutLE(&edge_count, 4, 8);               // dims = {4}
+  PutLE(&edge_count, 4, 8);               // num_vertices
+  PutLE(&edge_count, (uint64_t{1} << 60) + 1, 8);
+  edge_count.append(16, '\0');            // one edge's bytes
+
+  for (const std::string& section : {vector_len, dims_count, edge_count}) {
+    const std::string dir = MakeTempDir();
+    WriteCrafted(dir + "/" + snapshot::FileName(1), 1, {});
+    const std::string bad = dir + "/" + snapshot::FileName(2);
+    WriteCrafted(bad, 2, {section});
+
+    snapshot::VerifyReport verify;
+    ASSERT_TRUE(snapshot::Verify(bad, &verify).ok());
+    ASSERT_EQ(verify.errors.size(), 1u);
+    EXPECT_NE(verify.errors[0].find("undecodable section"), std::string::npos)
+        << verify.errors[0];
+
+    SnapshotImage image;
+    snapshot::OpenReport open;
+    ASSERT_TRUE(snapshot::OpenLatest(dir, &image, &open).ok());
+    EXPECT_TRUE(open.loaded);
+    EXPECT_EQ(open.generation, 1u);
+    ASSERT_EQ(open.skipped.size(), 1u);
+    EXPECT_NE(open.skipped[0].find(snapshot::FileName(2)), std::string::npos);
+    RemoveTree(dir);
+  }
+}
+
+// A policy section in wire order: one edge 0-1, all-zero data, no
+// plan hints; `cap`, `dims` and `cells` are the fields under test.
+std::string PolicySection(const std::string& name, double cap,
+                          const std::vector<uint64_t>& dims, uint64_t cells) {
+  std::string section(1, '\x01');
+  PutStr(&section, name);
+  PutStr(&section, "P");
+  PutLE(&section, 1, 8);  // version
+  uint64_t cap_bits = 0;
+  std::memcpy(&cap_bits, &cap, sizeof(cap));
+  PutLE(&section, cap_bits, 8);
+  PutLE(&section, dims.size(), 4);
+  for (const uint64_t d : dims) PutLE(&section, d, 8);
+  PutLE(&section, cells, 8);  // num_vertices
+  PutLE(&section, 1, 8);      // one edge
+  PutLE(&section, 0, 8);
+  PutLE(&section, 1, 8);
+  PutLE(&section, cells, 8);  // data
+  for (uint64_t i = 0; i < cells; ++i) PutLE(&section, 0, 8);
+  PutLE(&section, 0, 1);  // no plan hints
+  return section;
+}
+
+TEST(SnapshotStoreTest, RestoreSkipsMalformedPoliciesInsteadOfAborting) {
+  // Sections that decode under valid CRCs but describe policies the
+  // engine cannot build: a zero-width dimension (DomainShape aborts on
+  // it), dims whose cell count wraps around to the vertex count, and a
+  // NaN ε cap (the ledger aborts on it). Restore skips each one — the
+  // store is fail-open — and the well-formed sibling still restores.
+  const std::string dir = MakeTempDir();
+  WriteCrafted(dir + "/" + snapshot::FileName(1), 1,
+               {PolicySection("zero_dim", 1.0, {0}, 2),
+                PolicySection("wrapped", 1.0, {(uint64_t{1} << 63) + 1, 2}, 2),
+                PolicySection("nan_cap", std::nan(""), {2}, 2),
+                PolicySection("sound", 1.0, {2}, 2)});
+
+  QueryEngine engine(SnapOptions(dir));
+  const QueryEngine::SnapshotRestoreStats& stats =
+      engine.snapshot_restore_stats();
+  EXPECT_TRUE(stats.loaded);
+  EXPECT_EQ(stats.policies_restored, 1u);
+  EXPECT_EQ(stats.items_skipped, 3u);
+  EXPECT_EQ(engine.OpenSession("nan", std::nan("")).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(engine.OpenSession("s", 1.0).ok());
+  QueryRequest request;
+  request.session = "s";
+  request.policy = "sound";
+  request.workload = IdentityWorkload(2);
+  request.epsilon = 0.5;
+  Result<QueryResult> result = engine.Submit(request);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
   RemoveTree(dir);
 }
 

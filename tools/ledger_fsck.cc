@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "engine/ledger_journal.h"
+#include "engine/telemetry.h"
 
 namespace {
 
@@ -38,27 +39,6 @@ using namespace blowfish;
   if (msg != nullptr) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr, "usage: ledger_fsck [--json] [--quiet] <journal-dir>\n");
   std::exit(2);
-}
-
-void AppendJsonString(const std::string& value, std::string* out) {
-  out->push_back('"');
-  for (char ch : value) {
-    switch (ch) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out->append(buf);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 void AppendDouble(double value, std::string* out) {

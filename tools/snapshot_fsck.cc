@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "engine/snapshot_store.h"
+#include "engine/telemetry.h"
 
 namespace {
 
@@ -44,27 +45,6 @@ using namespace blowfish;
                "usage: snapshot_fsck [--json] [--quiet] "
                "<snapshot-dir-or-file>\n");
   std::exit(2);
-}
-
-void AppendJsonString(const std::string& value, std::string* out) {
-  out->push_back('"');
-  for (char ch : value) {
-    switch (ch) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\n': out->append("\\n"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out->append(buf);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 struct FileVerdict {
