@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark): throughput of the computational
 // kernels underlying the mechanisms — wavelet transforms, isotonic
-// regression, the DAWA partition DP, the policy transform, and the
-// sparse workload transform.
+// regression, the DAWA partition DP, the policy transform, the sparse
+// workload transform, and the θ-grid range mechanism's two layers
+// (noisy slab releases, per-query reconstruction).
 
 #include <benchmark/benchmark.h>
 
+#include "core/mechanisms_kd.h"
 #include "core/pg_matrix.h"
 #include "core/transform.h"
 #include "mech/consistency.h"
@@ -111,6 +113,35 @@ void BM_PgMatrixBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PgMatrixBuild)->Arg(4096);
+
+// Times one θ=4 grid submit answering `queries` random ranges on a
+// k×k domain: with one query the slab/line releases dominate, with
+// 200 the per-range reconstruction does.
+void GridThetaSubmit(benchmark::State& state, size_t queries) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  const auto mech = GridThetaRangeMechanism::Create(k, 4).ValueOrDie();
+  const DomainShape domain({k, k});
+  const Vector x = RandomVector(k * k, 9);
+  const Vector xg = mech->PrecomputeTransformed(x);
+  const double n = Sum(x);
+  Rng rng(10);
+  const RangeWorkload w = RandomRanges(domain, queries, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        mech->AnswerRangesOnTransformed(w, xg, n, 1.0, &rng));
+  }
+  state.SetItemsProcessed(state.iterations() * queries);
+}
+
+void BM_GridThetaReleases(benchmark::State& state) {
+  GridThetaSubmit(state, 1);
+}
+BENCHMARK(BM_GridThetaReleases)->Arg(64)->Arg(256)->Unit(benchmark::kMicrosecond);
+
+void BM_GridThetaRanges(benchmark::State& state) {
+  GridThetaSubmit(state, 200);
+}
+BENCHMARK(BM_GridThetaRanges)->Arg(64)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace blowfish

@@ -10,10 +10,11 @@
 //
 // This gives the planner a uniform execution path (Plan::mechanism is
 // never null; the engine answers any linear workload as W x̂). Callers
-// with an explicit range workload over a large domain should still
-// prefer inner().AnswerRanges(), which reconstructs only the queried
-// ranges; the full-histogram reconstruction here costs
-// O(k² · #spanner-edges) per release.
+// with an explicit range workload should still prefer
+// inner().AnswerRanges(): it reconstructs only the queried ranges
+// (O(perimeter · θ²) each), and its per-range error scales with the
+// range's perimeter, where W x̂ over this O(#spanner-edges) histogram
+// release grows with the area.
 
 #ifndef BLOWFISH_CORE_GRID_THETA_ADAPTER_H_
 #define BLOWFISH_CORE_GRID_THETA_ADAPTER_H_

@@ -5,11 +5,12 @@
 
 #include "common/check.h"
 #include "graph/algorithms.h"
-#include "mech/privelet.h"
 
 namespace blowfish {
 
 namespace {
+
+constexpr size_t kMaxSide = 16384;
 
 // The spanner structure is translation invariant, so the worst-case
 // edge stretch stabilizes once the grid comfortably contains a few
@@ -32,6 +33,12 @@ GridThetaRangeMechanism::Create(size_t k, size_t theta) {
   const size_t block = std::max<size_t>(1, theta / 2);
   if (k % block != 0 || k < 2 * block) {
     return Status::InvalidArgument("grid θ strategy requires block | k");
+  }
+  // Cells, edges (< 3k²) and incident-edge entries are indexed in 32
+  // bits, coordinates in 16.
+  if (k > kMaxSide) {
+    return Status::InvalidArgument("grid θ strategy requires k <= " +
+                                   std::to_string(kMaxSide));
   }
 
   auto m = std::unique_ptr<GridThetaRangeMechanism>(
@@ -64,16 +71,20 @@ GridThetaRangeMechanism::Create(size_t k, size_t theta) {
   const size_t reds_per_dim = k / block;
   for (size_t e = 0; e < edges.size(); ++e) {
     EdgeInfo& info = m->edge_info_[e];
-    info.u = edges[e].u;
-    info.v = edges[e].v;
+    info.u = static_cast<uint32_t>(edges[e].u);
+    info.v = static_cast<uint32_t>(edges[e].v);
+    info.ui = static_cast<uint32_t>(edges[e].u / k);
+    info.uj = static_cast<uint32_t>(edges[e].u % k);
+    info.vi = static_cast<uint32_t>(edges[e].v / k);
+    info.vj = static_cast<uint32_t>(edges[e].v % k);
     const bool u_is_black = spanner.internal_edge[edges[e].u] == e;
     const bool v_is_black = spanner.internal_edge[edges[e].v] == e;
     info.internal = u_is_black || v_is_black;
     if (info.internal) {
       const size_t black = u_is_black ? edges[e].u : edges[e].v;
       const std::vector<size_t> c = domain.Unflatten(black);
-      info.bi = c[0];
-      info.bj = c[1];
+      info.bi = static_cast<uint32_t>(c[0]);
+      info.bj = static_cast<uint32_t>(c[1]);
     } else {
       // External edge between adjacent red corners; group by line.
       const std::vector<size_t> cu = domain.Unflatten(edges[e].u);
@@ -97,6 +108,36 @@ GridThetaRangeMechanism::Create(size_t k, size_t theta) {
   for (const auto& line : m->external_lines_) {
     for (size_t slot : line) BF_CHECK_NE(slot, SIZE_MAX);
   }
+  m->line_privelet_ =
+      std::make_unique<PriveletMechanism>(DomainShape({reds_per_dim}));
+  m->row_privelet_ =
+      std::make_unique<PriveletMechanism>(DomainShape({block, k}));
+  m->col_privelet_ =
+      std::make_unique<PriveletMechanism>(DomainShape({k, block}));
+
+  // Per-cell incident-edge index (counting sort by endpoint, so each
+  // cell's list is in ascending edge order).
+  m->incident_start_.assign(k * k + 1, 0);
+  for (const Graph::Edge& edge : edges) {
+    ++m->incident_start_[edge.u + 1];
+    ++m->incident_start_[edge.v + 1];
+  }
+  for (size_t c = 0; c < k * k; ++c) {
+    m->incident_start_[c + 1] += m->incident_start_[c];
+  }
+  m->incident_.resize(m->incident_start_[k * k]);
+  {
+    std::vector<uint32_t> fill(m->incident_start_.begin(),
+                               m->incident_start_.end() - 1);
+    for (size_t e = 0; e < edges.size(); ++e) {
+      const EdgeInfo& info = m->edge_info_[e];
+      const auto edge = static_cast<uint32_t>(e);
+      m->incident_[fill[info.u]++] = {edge, static_cast<uint16_t>(info.vi),
+                                      static_cast<uint16_t>(info.vj)};
+      m->incident_[fill[info.v]++] = {edge, static_cast<uint16_t>(info.ui),
+                                      static_cast<uint16_t>(info.uj)};
+    }
+  }
 
   Policy h_policy{"H^" + std::to_string(theta) + "_{" + std::to_string(k) +
                       "x" + std::to_string(k) + "}",
@@ -119,28 +160,16 @@ GridThetaRangeMechanism::Releases GridThetaRangeMechanism::RunReleases(
   rel.est_ext.assign(xg.size(), 0.0);
 
   // External: one 1D Privelet per red-grid line at full ε' (disjoint).
-  {
-    std::map<size_t, std::shared_ptr<PriveletMechanism>> cache;
-    for (const std::vector<size_t>& line : external_lines_) {
-      auto it = cache.find(line.size());
-      if (it == cache.end()) {
-        it = cache
-                 .emplace(line.size(), std::make_shared<PriveletMechanism>(
-                                           DomainShape({line.size()})))
-                 .first;
-      }
-      Vector sub(line.size());
-      for (size_t i = 0; i < line.size(); ++i) sub[i] = xg[line[i]];
-      const Vector est = it->second->Run(sub, eps_prime, rng);
-      for (size_t i = 0; i < line.size(); ++i) rel.est_ext[line[i]] = est[i];
-    }
+  Vector sub(k_ / block_);
+  for (const std::vector<size_t>& line : external_lines_) {
+    for (size_t i = 0; i < line.size(); ++i) sub[i] = xg[line[i]];
+    const Vector est = line_privelet_->Run(sub, eps_prime, rng);
+    for (size_t i = 0; i < line.size(); ++i) rel.est_ext[line[i]] = est[i];
   }
 
   // Internal: slab systems. Cells indexed by the black endpoint; red
   // cells (no internal edge) stay zero.
   const size_t num_slabs = k_ / block_;
-  const PriveletMechanism row_privelet(DomainShape({block_, k_}));
-  const PriveletMechanism col_privelet(DomainShape({k_, block_}));
   // Map each internal edge to its slabs once.
   std::vector<Vector> row_slabs(num_slabs, Vector(block_ * k_, 0.0));
   std::vector<Vector> col_slabs(num_slabs, Vector(k_ * block_, 0.0));
@@ -152,8 +181,8 @@ GridThetaRangeMechanism::Releases GridThetaRangeMechanism::RunReleases(
   }
   std::vector<Vector> row_est(num_slabs), col_est(num_slabs);
   for (size_t b = 0; b < num_slabs; ++b) {
-    row_est[b] = row_privelet.Run(row_slabs[b], eps_prime / 2.0, rng);
-    col_est[b] = col_privelet.Run(col_slabs[b], eps_prime / 2.0, rng);
+    row_est[b] = row_privelet_->Run(row_slabs[b], eps_prime / 2.0, rng);
+    col_est[b] = col_privelet_->Run(col_slabs[b], eps_prime / 2.0, rng);
   }
   for (size_t e = 0; e < edge_info_.size(); ++e) {
     const EdgeInfo& info = edge_info_[e];
@@ -173,25 +202,48 @@ Vector GridThetaRangeMechanism::AnswerRanges(const RangeWorkload& workload,
                                    Sum(x), epsilon, rng);
 }
 
-double GridThetaRangeMechanism::AnswerOneRange(const RangeQuery& q,
-                                               const Releases& rel,
-                                               double n) const {
+double GridThetaRangeMechanism::AnswerOneRange(
+    const RangeQuery& q, const Releases& rel, double n,
+    std::vector<uint32_t>* crossing) const {
   const size_t corner_i = k_ - 1, corner_j = k_ - 1;  // Case-II vertex
   const size_t r1 = q.lo[0], r2 = q.hi[0];
   const size_t c1 = q.lo[1], c2 = q.hi[1];
   const auto inside = [&](size_t i, size_t j) {
     return i >= r1 && i <= r2 && j >= c1 && j <= c2;
   };
+  // Collect the edges leaving the rectangle from its inside endpoint,
+  // which lies within block_ of the border: internal edges span fewer
+  // than block_ cells per axis, external edges exactly block_.
+  crossing->clear();
+  const auto visit = [&](size_t i, size_t j) {
+    const size_t cell = i * k_ + j;
+    for (uint32_t p = incident_start_[cell]; p < incident_start_[cell + 1];
+         ++p) {
+      const Incident& incident = incident_[p];
+      if (!inside(incident.oi, incident.oj)) crossing->push_back(incident.edge);
+    }
+  };
+  const size_t left_end = std::min(c2, c1 + block_ - 1);
+  const size_t right_begin =
+      std::max(left_end + 1, c2 + 1 < block_ ? 0 : c2 + 1 - block_);
+  for (size_t i = r1; i <= r2; ++i) {
+    if (i < r1 + block_ || i + block_ > r2) {
+      for (size_t j = c1; j <= c2; ++j) visit(i, j);
+    } else {
+      for (size_t j = c1; j <= left_end; ++j) visit(i, j);
+      for (size_t j = right_begin; j <= c2; ++j) visit(i, j);
+    }
+  }
+  // Ascending edge order: the order a full edge scan adds its nonzero
+  // terms in, so the floating-point sum is the same.
+  std::sort(crossing->begin(), crossing->end());
+
   double acc = 0.0;
   // Case-II constant q[corner] * n.
   if (inside(corner_i, corner_j)) acc += n;
-  for (size_t e = 0; e < edge_info_.size(); ++e) {
+  for (const uint32_t e : *crossing) {
     const EdgeInfo& info = edge_info_[e];
-    const size_t ui = info.u / k_, uj = info.u % k_;
-    const size_t vi = info.v / k_, vj = info.v % k_;
-    const double coef = (inside(ui, uj) ? 1.0 : 0.0) -
-                        (inside(vi, vj) ? 1.0 : 0.0);
-    if (coef == 0.0) continue;
+    const double coef = inside(info.ui, info.uj) ? 1.0 : -1.0;
     double est;
     if (!info.internal) {
       est = rel.est_ext[e];
@@ -224,8 +276,9 @@ Vector GridThetaRangeMechanism::AnswerRangesOnTransformed(
   const Releases rel = RunReleases(xg, eps_prime, rng);
 
   Vector answers(workload.num_queries(), 0.0);
+  std::vector<uint32_t> crossing;
   for (size_t qi = 0; qi < workload.num_queries(); ++qi) {
-    answers[qi] = AnswerOneRange(workload.queries()[qi], rel, n);
+    answers[qi] = AnswerOneRange(workload.queries()[qi], rel, n, &crossing);
   }
   return answers;
 }
@@ -251,8 +304,8 @@ size_t GridThetaRangeMechanism::RangeCursor::AnswerNext(
   const size_t produced = end - next_;
   out->reserve(out->size() + produced);
   for (; next_ < end; ++next_) {
-    out->push_back(
-        mech_->AnswerOneRange(workload.queries()[next_], releases_, n_));
+    out->push_back(mech_->AnswerOneRange(workload.queries()[next_],
+                                         releases_, n_, &crossing_));
   }
   return produced;
 }

@@ -24,10 +24,21 @@
 // reconstruction, this mechanism answers range workloads directly
 // rather than releasing a single histogram estimate (both releases are
 // still published noisy vectors; reconstruction is post-processing).
+//
+// Reconstruction cost. Only edges with exactly one endpoint inside the
+// rectangle carry a nonzero coefficient, and every edge spans at most
+// s cells per axis, so each such edge has its inside endpoint within s
+// of the border. A query visits just that band through a per-cell
+// incident-edge index: O(perimeter · θ²) work instead of a scan of
+// all ~k² edges.
+// The crossing edges are summed in ascending edge index — the same
+// nonzero terms in the same order as a full edge scan, so the answers
+// are bit-identical to it.
 
 #ifndef BLOWFISH_CORE_MECHANISMS_KD_H_
 #define BLOWFISH_CORE_MECHANISMS_KD_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -35,6 +46,7 @@
 #include "core/subgraph_approx.h"
 #include "core/transform.h"
 #include "mech/mechanism.h"
+#include "mech/privelet.h"
 #include "workload/workload.h"
 
 namespace blowfish {
@@ -103,6 +115,7 @@ class GridThetaRangeMechanism {
     Releases releases_;
     double n_;
     size_t next_ = 0;
+    std::vector<uint32_t> crossing_;  // AnswerOneRange scratch
   };
 
   /// Draws this submit's releases and positions a cursor at query 0.
@@ -114,9 +127,10 @@ class GridThetaRangeMechanism {
   /// Full-histogram release x̂ (all k² cells, flattened row-major):
   /// bit-identical to answering every unit-cell range through
   /// AnswerRangesOnTransformed, but one O(edges) scatter pass instead
-  /// of O(k²·edges) — each edge estimate touches exactly its two
-  /// incident cells, so the per-cell accumulation order (edge order)
-  /// matches the generic path and the floating-point sums are equal.
+  /// of k² range reconstructions — each edge estimate touches exactly
+  /// its two incident cells, so the per-cell accumulation order (edge
+  /// order) matches the generic path and the floating-point sums are
+  /// equal.
   Vector ReleaseHistogramOnTransformed(const Vector& xg, double n,
                                        double epsilon, Rng* rng) const;
 
@@ -131,10 +145,12 @@ class GridThetaRangeMechanism {
   Releases RunReleases(const Vector& xg, double eps_prime, Rng* rng) const;
 
   /// Reconstructs one range query from the releases (the generic
-  /// Figure 7d strip classification); both the one-shot path and the
-  /// cursor call exactly this, so their answers are bit-identical.
+  /// Figure 7d strip classification) over the edges crossing the
+  /// rectangle's border; `crossing` is reusable scratch. Both the
+  /// one-shot path and the cursor call exactly this, so their answers
+  /// are bit-identical.
   double AnswerOneRange(const RangeQuery& query, const Releases& releases,
-                        double n) const;
+                        double n, std::vector<uint32_t>* crossing) const;
 
   size_t k_ = 0;
   size_t theta_ = 0;
@@ -146,13 +162,30 @@ class GridThetaRangeMechanism {
   // Per-edge metadata (index = P_G column = spanner edge index).
   struct EdgeInfo {
     bool internal = false;
-    size_t u = 0, v = 0;  // original endpoints (v is the red/second one)
+    uint32_t u = 0, v = 0;  // original endpoints (v is the red/second one)
+    uint32_t ui = 0, uj = 0, vi = 0, vj = 0;  // their (row, column)
     // Internal: black endpoint coordinates.
-    size_t bi = 0, bj = 0;
+    uint32_t bi = 0, bj = 0;
   };
   std::vector<EdgeInfo> edge_info_;
   // External line groups: edge indices ordered along the line.
   std::vector<std::vector<size_t>> external_lines_;
+  // Incident edges per cell (CSR over the k² row-major cells): cell c's
+  // edges are incident_[incident_start_[c] .. incident_start_[c + 1]),
+  // in ascending edge order, each with its far endpoint so the
+  // crossing test reads no edge metadata.
+  struct Incident {
+    uint32_t edge;
+    uint16_t oi, oj;  // the edge's other endpoint (row, column)
+  };
+  std::vector<uint32_t> incident_start_;
+  std::vector<Incident> incident_;
+  // The release mechanisms, fixed by (k, block): one per external line
+  // (k/block entries each), one per row-of-blocks and column-of-blocks
+  // slab.
+  std::unique_ptr<const PriveletMechanism> line_privelet_;
+  std::unique_ptr<const PriveletMechanism> row_privelet_;
+  std::unique_ptr<const PriveletMechanism> col_privelet_;
 };
 
 }  // namespace blowfish

@@ -59,8 +59,8 @@ struct Plan {
   int64_t stretch = 1;    ///< 1 unless a spanner was needed
   /// Non-null exactly for kind "grid-theta-range": the slab mechanism
   /// behind the histogram adapter, which answers explicit range
-  /// workloads by per-query reconstruction — O(q · edges) instead of
-  /// the adapter's O(k² · edges) full-histogram release. Shared with
+  /// workloads by per-query reconstruction — O(perimeter · θ²) per
+  /// query, bit-identical to a full edge scan. Shared with
   /// `mechanism` (the adapter), so it lives as long as the plan.
   std::shared_ptr<const GridThetaRangeMechanism> range_mechanism;
   /// Preformatted audit suffix ("policy 'X' via <kind>") filled in by

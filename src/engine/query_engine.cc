@@ -843,8 +843,9 @@ QueryEngine::Draw QueryEngine::DrawRelease(const QueryRequest& request,
   if (request.ranges.has_value() && plan.range_mechanism != nullptr &&
       request.ranges->domain().dims() == entry.policy.domain.dims()) {
     // Noise is drawn once for this submit's slab releases and only the
-    // queried ranges are reconstructed — O(q·edges), versus the
-    // adapter's O(k²·edges) full-histogram detour. range_mechanism
+    // queried ranges are reconstructed, each from the edges crossing
+    // its border — O(perimeter·θ²) per query, added in edge order so
+    // the bits equal a full edge scan's. range_mechanism
     // comes only with the grid adapter, whose precompute is always a
     // slab transform, and every built slot holds its precompute.
     const auto* slab =

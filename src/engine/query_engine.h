@@ -38,9 +38,11 @@
 // plan's full-histogram release. An implicit range workload on a θ>=2
 // grid policy instead routes to GridThetaRangeMechanism's per-query
 // slab reconstruction (noise drawn once per submit, only the queried
-// ranges rebuilt — O(q·edges) instead of O(k²·edges)); on any other
-// policy it is answered from the histogram release via a summed-area
-// table. Both paths charge the same ε and state the same guarantee.
+// ranges rebuilt from the edges crossing their border — O(perimeter·θ²)
+// per query, summed in edge order so the bits match a full edge scan);
+// on any other policy it is answered from the histogram release via a
+// summed-area table. Both paths charge the same ε and state the same
+// guarantee.
 // Submit, SubmitBatch and SubmitStream share one resolve step and one
 // noise-draw dispatch; they differ only in how they pull answers out
 // of the drawn release (all at once, or chunk by chunk).

@@ -22,24 +22,54 @@ size_t Log2(size_t n) {
   return h;
 }
 
-// Applies `fn` to every 1D line of `data` along `axis` of the grid
+// One full Haar pass over v[0, n) (n a power of two), using tmp[0, n)
+// as scratch.
+void HaarForwardInPlace(double* v, size_t n, double* tmp) {
+  for (size_t m = n; m > 1; m /= 2) {
+    const size_t half = m / 2;
+    for (size_t j = 0; j < half; ++j) {
+      const double a = v[2 * j];
+      const double b = v[2 * j + 1];
+      tmp[j] = 0.5 * (a + b);
+      tmp[half + j] = 0.5 * (a - b);
+    }
+    for (size_t j = 0; j < m; ++j) v[j] = tmp[j];
+  }
+}
+
+// Exact inverse of HaarForwardInPlace.
+void HaarInverseInPlace(double* v, size_t n, double* tmp) {
+  for (size_t m = 2; m <= n; m *= 2) {
+    const size_t half = m / 2;
+    for (size_t j = 0; j < half; ++j) {
+      const double avg = v[j];
+      const double diff = v[half + j];
+      tmp[2 * j] = avg + diff;
+      tmp[2 * j + 1] = avg - diff;
+    }
+    for (size_t j = 0; j < m; ++j) v[j] = tmp[j];
+  }
+}
+
+// Applies `pass` to every 1D line of `data` along `axis` of the grid
 // `dims` (row-major layout): gathers the line, transforms, scatters.
-template <typename Fn>
+// The line and the pass's scratch are allocated once per call.
 void ForEachLine(Vector* data, const std::vector<size_t>& dims, size_t axis,
-                 Fn&& fn) {
-  const size_t d = dims.size();
-  std::vector<size_t> stride(d, 1);
-  for (size_t i = d - 1; i-- > 0;) stride[i] = stride[i + 1] * dims[i + 1];
+                 void (*pass)(double*, size_t, double*)) {
+  size_t s = 1;  // stride of `axis`
+  for (size_t i = axis + 1; i < dims.size(); ++i) s *= dims[i];
   const size_t extent = dims[axis];
-  const size_t s = stride[axis];
   const size_t total = data->size();
-  Vector line(extent);
-  // Enumerate all positions with coordinate 0 along `axis`.
-  for (size_t base = 0; base < total; ++base) {
-    if ((base / s) % extent != 0) continue;
-    for (size_t j = 0; j < extent; ++j) line[j] = (*data)[base + j * s];
-    fn(&line);
-    for (size_t j = 0; j < extent; ++j) (*data)[base + j * s] = line[j];
+  Vector line(2 * extent);
+  double* const tmp = line.data() + extent;
+  // Enumerate all positions with coordinate 0 along `axis`: blocks of
+  // s consecutive bases, one every s·extent cells.
+  for (size_t block = 0; block < total; block += s * extent) {
+    for (size_t base = block; base < block + s; ++base) {
+      for (size_t j = 0; j < extent; ++j) line[j] = (*data)[base + j * s];
+      pass(line.data(), extent, tmp);
+      for (size_t j = 0; j < extent; ++j) (*data)[base + j * s] = line[j];
+    }
   }
 }
 
@@ -49,32 +79,14 @@ void HaarForward(Vector* v) {
   const size_t n = v->size();
   BF_CHECK_MSG(IsPowerOfTwo(n), "Haar transform requires power-of-two length");
   Vector tmp(n);
-  for (size_t m = n; m > 1; m /= 2) {
-    const size_t half = m / 2;
-    for (size_t j = 0; j < half; ++j) {
-      const double a = (*v)[2 * j];
-      const double b = (*v)[2 * j + 1];
-      tmp[j] = 0.5 * (a + b);
-      tmp[half + j] = 0.5 * (a - b);
-    }
-    for (size_t j = 0; j < m; ++j) (*v)[j] = tmp[j];
-  }
+  HaarForwardInPlace(v->data(), n, tmp.data());
 }
 
 void HaarInverse(Vector* v) {
   const size_t n = v->size();
   BF_CHECK_MSG(IsPowerOfTwo(n), "Haar transform requires power-of-two length");
   Vector tmp(n);
-  for (size_t m = 2; m <= n; m *= 2) {
-    const size_t half = m / 2;
-    for (size_t j = 0; j < half; ++j) {
-      const double avg = (*v)[j];
-      const double diff = (*v)[half + j];
-      tmp[2 * j] = avg + diff;
-      tmp[2 * j + 1] = avg - diff;
-    }
-    for (size_t j = 0; j < m; ++j) (*v)[j] = tmp[j];
-  }
+  HaarInverseInPlace(v->data(), n, tmp.data());
 }
 
 Vector HaarWeights(size_t n) {
@@ -101,6 +113,7 @@ PriveletMechanism::PriveletMechanism(DomainShape domain)
     sensitivity_ *= static_cast<double>(Log2(p) + 1);
   }
   padded_ = DomainShape(padded_dims);
+  unpadded_ = padded_.dims() == domain_.dims();
   // Per-cell weight = product over axes of the 1D coefficient weight of
   // the cell's coordinate along that axis.
   coefficient_weights_.assign(padded_.size(), 1.0);
@@ -118,15 +131,20 @@ Vector PriveletMechanism::Run(const Vector& x, double epsilon,
   BF_CHECK_GT(epsilon, 0.0);
   BF_CHECK(rng != nullptr);
 
-  // Embed into the padded grid.
-  Vector padded(padded_.size(), 0.0);
-  for (size_t i = 0; i < domain_.size(); ++i) {
-    padded[padded_.Flatten(domain_.Unflatten(i))] = x[i];
+  // Embed into the padded grid; a power-of-two domain is its own
+  // padding, so the row-major layouts agree and a copy suffices.
+  Vector padded;
+  if (unpadded_) {
+    padded = x;
+  } else {
+    padded.assign(padded_.size(), 0.0);
+    for (size_t i = 0; i < domain_.size(); ++i) {
+      padded[padded_.Flatten(domain_.Unflatten(i))] = x[i];
+    }
   }
   // Forward transform along each axis.
   for (size_t axis = 0; axis < padded_.num_dims(); ++axis) {
-    ForEachLine(&padded, padded_.dims(), axis,
-                [](Vector* line) { HaarForward(line); });
+    ForEachLine(&padded, padded_.dims(), axis, HaarForwardInPlace);
   }
   // Generalized Laplace noise: scale sensitivity/(eps * weight).
   for (size_t i = 0; i < padded.size(); ++i) {
@@ -134,10 +152,10 @@ Vector PriveletMechanism::Run(const Vector& x, double epsilon,
   }
   // Inverse transform.
   for (size_t axis = 0; axis < padded_.num_dims(); ++axis) {
-    ForEachLine(&padded, padded_.dims(), axis,
-                [](Vector* line) { HaarInverse(line); });
+    ForEachLine(&padded, padded_.dims(), axis, HaarInverseInPlace);
   }
   // Crop back to the logical domain.
+  if (unpadded_) return padded;
   Vector out(domain_.size());
   for (size_t i = 0; i < domain_.size(); ++i) {
     out[i] = padded[padded_.Flatten(domain_.Unflatten(i))];

@@ -51,6 +51,7 @@ class PriveletMechanism : public HistogramMechanism {
  private:
   DomainShape domain_;         // logical domain
   DomainShape padded_;         // power-of-two padded domain
+  bool unpadded_;              // domain_ == padded_: no scatter/crop
   Vector coefficient_weights_; // per padded cell, product across axes
   double sensitivity_;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bit_hash.h"
 #include "core/mechanisms_kd.h"
 #include "mech/privelet.h"
 #include "rng/rng.h"
@@ -87,6 +88,85 @@ TEST(GridTheta, CursorBlocksMatchOneShotAnswers) {
   ASSERT_EQ(blocks.size(), one_shot.size());
   for (size_t i = 0; i < one_shot.size(); ++i) {
     EXPECT_EQ(blocks[i], one_shot[i]) << "query " << i;
+  }
+}
+
+namespace {
+
+// Seeded random ranges plus the reconstruction's edge cases: every
+// unit cell, full rows and columns, ranges holding the Case-II corner
+// (k−1, k−1), ranges narrower than a block, and the full domain.
+RangeWorkload PinnedRangeQueries(size_t k, size_t block) {
+  const DomainShape domain({k, k});
+  Rng rng(17);
+  std::vector<RangeQuery> queries = RandomRanges(domain, 200, &rng).queries();
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = 0; j < k; ++j) queries.push_back({{i, j}, {i, j}});
+  }
+  for (size_t i = 0; i < k; ++i) {
+    queries.push_back({{i, 0}, {i, k - 1}});
+    queries.push_back({{0, i}, {k - 1, i}});
+  }
+  const auto coord = [&](size_t hi) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(hi)));
+  };
+  for (size_t t = 0; t < 50; ++t) {
+    queries.push_back({{coord(k - 1), coord(k - 1)}, {k - 1, k - 1}});
+  }
+  for (size_t t = 0; block > 1 && t < 50; ++t) {
+    // Alternate: narrow in rows, narrow in columns, narrow in both.
+    const size_t w0 = t % 3 == 1 ? k : 1 + coord(block - 2);
+    const size_t w1 = t % 3 == 0 ? k : 1 + coord(block - 2);
+    const size_t r = coord(k - std::min(w0, k));
+    const size_t c = coord(k - std::min(w1, k));
+    const size_t r2 = std::min(k - 1, r + w0 - 1);
+    const size_t c2 = std::min(k - 1, c + w1 - 1);
+    queries.push_back({{r, c}, {r2, c2}});
+  }
+  queries.push_back({{0, 0}, {k - 1, k - 1}});
+  return RangeWorkload("pinned", domain, std::move(queries));
+}
+
+}  // namespace
+
+TEST(GridTheta, RangeAnswersArePinned) {
+  // FNV-1a of the answers' bit patterns, recorded before range
+  // reconstruction became boundary-only: any change to which terms
+  // are summed, or to their order, moves these hashes.
+  struct Pin {
+    size_t k, theta;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {4, 2, 0xbe01fa8167ccf01aull},  {8, 2, 0x53448c0475b5e608ull},
+      {8, 4, 0x3a08640c78f2dbb8ull},  {12, 4, 0xa4cf8a79207fca7cull},
+      {18, 6, 0x95a85d9e31f1b6ddull}, {16, 8, 0x6cdc4c38eb4a7608ull},
+      {30, 6, 0x14ed4fccfe022d1dull}, {64, 4, 0xb2d1c1b6c51f55d8ull},
+      {64, 8, 0xf6d6fe11a9875e6aull},
+  };
+  for (const Pin& pin : pins) {
+    auto mech = GridThetaRangeMechanism::Create(pin.k, pin.theta).ValueOrDie();
+    const RangeWorkload w = PinnedRangeQueries(pin.k, mech->block());
+    Rng data_rng(pin.k * 100 + pin.theta);
+    Vector x(pin.k * pin.k);
+    for (double& v : x) v = static_cast<double>(data_rng.UniformInt(0, 9));
+    const Vector xg = mech->PrecomputeTransformed(x);
+
+    Rng rng(11);
+    const Vector one_shot =
+        mech->AnswerRangesOnTransformed(w, xg, Sum(x), 0.5, &rng);
+    ASSERT_EQ(one_shot.size(), w.num_queries());
+    EXPECT_EQ(HashBits(one_shot), pin.hash)
+        << "k=" << pin.k << " θ=" << pin.theta << " hash 0x" << std::hex
+        << HashBits(one_shot);
+
+    Rng cursor_rng(11);
+    auto cursor = mech->BeginRanges(xg, Sum(x), 0.5, &cursor_rng);
+    Vector blocks;
+    while (cursor->AnswerNext(w, 7, &blocks) > 0) {
+    }
+    EXPECT_EQ(HashBits(blocks), pin.hash)
+        << "cursor, k=" << pin.k << " θ=" << pin.theta;
   }
 }
 

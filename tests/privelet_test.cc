@@ -2,9 +2,11 @@
 // ε-DP baseline for range queries, cited as [20]).
 
 #include <cmath>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
+#include "bit_hash.h"
 #include "mech/error.h"
 #include "mech/privelet.h"
 #include "workload/builders.h"
@@ -119,6 +121,34 @@ TEST(Privelet, NonPowerOfTwoDomainPreservesLogicalCells) {
   const Vector est = mech.Run(x, 1e9, &rng);
   ASSERT_EQ(est.size(), 10u);
   for (size_t i = 0; i < 10; ++i) EXPECT_NEAR(est[i], x[i], 1e-5);
+}
+
+TEST(Privelet, RunOutputIsPinned) {
+  // FNV-1a of Run's output bits, recorded while every shape still went
+  // through the padded-grid scatter. Power-of-two shapes now copy the
+  // input straight in; {12, 5} is padded and keeps the scatter path.
+  struct Pin {
+    std::vector<size_t> dims;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {{64}, 0xc080e5d98b3b36dcull},    {{2, 64}, 0x5b127ce6c3b03941ull},
+      {{64, 2}, 0xb14cace7b09f6fd0ull}, {{8, 8}, 0x8b92add3cca949e7ull},
+      {{12, 5}, 0x305b06c42f120bccull},
+  };
+  for (size_t p = 0; p < std::size(pins); ++p) {
+    const Pin& pin = pins[p];
+    const DomainShape domain(pin.dims);
+    const PriveletMechanism mech{domain};
+    Rng data_rng(domain.size());
+    Vector x(domain.size());
+    for (double& v : x) v = static_cast<double>(data_rng.UniformInt(0, 9));
+    Rng rng(31);
+    const Vector est = mech.Run(x, 0.7, &rng);
+    ASSERT_EQ(est.size(), domain.size());
+    EXPECT_EQ(HashBits(est), pin.hash)
+        << "pin " << p << ", hash 0x" << std::hex << HashBits(est);
+  }
 }
 
 TEST(PriveletParam, ErrorScalesAsInverseEpsilonSquared) {
