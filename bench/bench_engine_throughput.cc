@@ -11,12 +11,12 @@
 //   1. per-policy cold ms + warm qps at 1 / 4 / 16 threads
 //   2. grouped SubmitBatch vs a Submit loop, plus the
 //      parallel-composition (disjoint-domain) charge accounting
-//   3. θ>=2 grid: single-pass scatter histogram release vs the legacy
-//      per-cell reconstruction, and the per-query range fast path
-//   4. async pipeline: warm submit-to-resolve latency through
-//      AsyncQueryEngine with and without a concurrent ~100ms cold
-//      plan in the cold lane (head-of-line isolation), plus the
-//      per-lane queue-depth / latency digests from AsyncStats
+//   3. θ>=2 grid: single-pass scatter histogram release vs
+//      reconstructing every unit cell through the range path, and the
+//      per-query range fast path
+//   4. cold isolation: warm closed-loop Submit latency from caller
+//      threads with and without a concurrent ~100ms cold plan (and
+//      two same-key followers) on threads of their own
 //   5. result streaming: SubmitStream vs the materializing Submit on
 //      the θ-grid fast path (k=256, 10k ranges) — time-to-first-chunk
 //      and peak resident chunk bytes vs the full answer vector
@@ -33,11 +33,10 @@
 //     baselines >= 3x
 //   - 16-thread scaling: >= 8x single-thread on >=16-core hosts, and
 //     no contention collapse (>= 0.35x per core, capped) elsewhere
-//   - scatter release beats the legacy per-cell reconstruction >= 50x
 //   - grouped batch is not slower than the submit loop
 //   - a disjoint-domain batch charges max(eps), not sum(eps)
-//   - cold-plan-under-warm-flood: warm p99 with a concurrent cold
-//     plan <= max(2x the no-cold baseline, half the cold plan cost)
+//   - cold isolation: warm p99 with a concurrent cold plan
+//     <= max(2x the no-cold baseline, half the cold plan cost)
 //     — warm queries must never pay the head-of-line price
 //   - streaming: time-to-first-chunk <= 1/10 of the materialized
 //     submit's latency, with every answer delivered (bit-level
@@ -50,8 +49,9 @@
 //
 // Structural checks enforced even in --smoke (a zero would mean the
 // bench measured nothing, not that the code is slow):
-//   - the async section's same-key cold followers must coalesce
-//     behind the leader (cold_plans_coalesced >= 1)
+//   - the cold-isolation section's three cold submitters plan once
+//     (the slow policy's plan-cache misses rise by exactly 1), and
+//     warm submits ran while the plan was in flight
 //   - the restarted engine must actually load the snapshot
 //
 // Flags: --smoke  tiny iteration counts, perf-floor gates off
@@ -66,7 +66,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,7 +73,6 @@
 #include "bench_util.h"
 #include "common/stopwatch.h"
 #include "core/mechanisms_kd.h"
-#include "engine/async_engine.h"
 #include "engine/query_engine.h"
 #include "engine/snapshot_store.h"
 #include "workload/builders.h"
@@ -159,30 +157,30 @@ double Geomean(const std::vector<double>& values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-/// One async flood run: `flood` warm submits through a fresh
-/// AsyncQueryEngine, optionally with a ~100ms cold spanner plan
-/// injected into the cold lane first. Latency is measured externally
-/// (submit stamp -> ordered wait), so the numbers are exact rather
-/// than the AsyncStats digest's power-of-2 upper bounds; the digest
-/// and queue depths are returned alongside for the JSON record.
-struct AsyncFloodResult {
+/// One cold-isolation run on a fresh engine: `warm_threads` caller
+/// threads each run closed-loop warm submits (1024-cell line policy)
+/// and time every call. With `with_cold`, a cold leader and two
+/// same-key followers submit against a fresh theta-1D 4096 policy
+/// (~100ms spanner certification) on three threads of their own, and
+/// the warm threads keep going until the plan is done, so the warm
+/// samples cover the whole plan window.
+struct ColdIsolationResult {
   double warm_p50_ms = 0.0;
   double warm_p99_ms = 0.0;
-  double cold_plan_ms = 0.0;  ///< cold submit-to-resolve (0 if none)
-  AsyncStats stats;
+  double cold_plan_ms = 0.0;     ///< slowest cold submitter (0 if none)
+  uint64_t cold_plan_misses = 0;  ///< plan-cache misses the cold run added
+  size_t warm_submits = 0;
+  size_t warm_submits_under_cold = 0;  ///< started while a cold one ran
 };
 
-AsyncFloodResult AsyncWarmFlood(bool with_cold, size_t flood) {
+ColdIsolationResult WarmUnderColdPlan(bool with_cold, size_t warm_threads,
+                                      size_t submits_per_thread) {
   using Clock = std::chrono::steady_clock;
   constexpr size_t kWarmDomain = 1024;
   constexpr size_t kColdDomain = 4096;
+  constexpr size_t kColdSubmitters = 3;  // one leader, two followers
 
-  EngineOptions options;
-  options.seed = 2015;
-  options.async_workers = 4;  // cold_limit 2: >= 2 workers stay warm
-  options.async_queue_capacity = flood + 16;
-  AsyncQueryEngine async(options);
-  QueryEngine& engine = async.engine();
+  QueryEngine engine(EngineOptions{/*seed=*/2015, /*warm_plan_cache=*/false});
   engine.RegisterPolicy("warm", LinePolicy(kWarmDomain), Ramp(kWarmDomain), 1e9)
       .Check();
   engine
@@ -192,82 +190,70 @@ AsyncFloodResult AsyncWarmFlood(bool with_cold, size_t flood) {
   engine.OpenSession("flood", 1e9).Check();
 
   QueryRequest warm_request;
-  warm_request.session = "flood";
-  warm_request.policy = "warm";
   warm_request.workload = IdentityWorkload(kWarmDomain);
   warm_request.epsilon = 0.01;
   warm_request.session_handle = engine.ResolveSession("flood").ValueOrDie();
   warm_request.policy_handle = engine.ResolvePolicy("warm").ValueOrDie();
-  // Warm the fast policy so the flood classifies warm.
-  engine.Submit(warm_request).ValueOrDie();
+  engine.Submit(warm_request).ValueOrDie();  // plan the warm policy
+  QueryRequest cold_request;
+  cold_request.session = "flood";
+  cold_request.policy = "slowplan";
+  cold_request.workload = IdentityWorkload(kColdDomain);
+  cold_request.epsilon = 0.01;
+  const uint64_t misses_before = engine.plan_cache_stats().misses;
 
-  AsyncFloodResult result;
-  std::future<Result<QueryResult>> cold_future;
-  std::vector<std::future<Result<QueryResult>>> cold_followers;
-  std::thread cold_waiter;
+  std::atomic<size_t> cold_running{with_cold ? kColdSubmitters : 0};
+  std::vector<double> cold_ms(kColdSubmitters, 0.0);
+  std::vector<std::thread> cold_threads;
   if (with_cold) {
-    QueryRequest cold_request;
-    cold_request.session = "flood";
-    cold_request.policy = "slowplan";
-    cold_request.workload = IdentityWorkload(kColdDomain);
-    cold_request.epsilon = 0.01;
-    const Clock::time_point cold_submit = Clock::now();
-    cold_future = async.SubmitAsync(cold_request);
-    // Stamped by a dedicated waiter at resolve time, so cold_plan_ms
-    // is the true submit-to-resolve cost — measuring it after the
-    // warm wait loop would report max(cold, flood) and inflate the
-    // gate's half-cold-cost ceiling.
-    cold_waiter = std::thread([&result, &cold_future, cold_submit] {
-      cold_future.wait();
-      result.cold_plan_ms = std::chrono::duration<double, std::milli>(
-                                Clock::now() - cold_submit)
-                                .count();
+    for (size_t i = 0; i < kColdSubmitters; ++i) {
+      cold_threads.emplace_back([&, i] {
+        const Clock::time_point start = Clock::now();
+        engine.Submit(cold_request).ValueOrDie();
+        cold_ms[i] =
+            std::chrono::duration<double, std::milli>(Clock::now() - start)
+                .count();
+        cold_running.fetch_sub(1, std::memory_order_release);
+      });
+    }
+  }
+
+  std::vector<std::vector<double>> latencies(warm_threads);
+  std::vector<size_t> under_cold(warm_threads, 0);
+  std::vector<std::thread> warm;
+  for (size_t t = 0; t < warm_threads; ++t) {
+    warm.emplace_back([&, t] {
+      latencies[t].reserve(submits_per_thread);
+      for (size_t i = 0;
+           i < submits_per_thread ||
+           cold_running.load(std::memory_order_acquire) != 0;
+           ++i) {
+        const bool cold_in_flight =
+            cold_running.load(std::memory_order_acquire) != 0;
+        const Clock::time_point start = Clock::now();
+        engine.Submit(warm_request).ValueOrDie();
+        latencies[t].push_back(
+            std::chrono::duration<double, std::milli>(Clock::now() - start)
+                .count());
+        if (cold_in_flight) ++under_cold[t];
+      }
     });
-    // The flood must overlap the plan: wait for the cold leader to
-    // claim a worker before submitting warm traffic.
-    while (async.stats().cold_in_flight == 0 &&
-           cold_future.wait_for(std::chrono::seconds(0)) !=
-               std::future_status::ready) {
-      std::this_thread::yield();
-    }
-    // Two same-key followers submitted while the leader still owns the
-    // certification (~100ms): workers must park them behind the
-    // in-flight plan instead of re-running it. This is the only way
-    // `cold_plans_coalesced` can become nonzero — a single cold
-    // submission (the old shape of this bench) reported a structural 0
-    // that said nothing about coalescing, even on one-core hosts where
-    // worker threads still interleave.
-    for (int i = 0; i < 2; ++i) {
-      cold_followers.push_back(async.SubmitAsync(cold_request));
-    }
   }
+  for (std::thread& thread : warm) thread.join();
+  for (std::thread& thread : cold_threads) thread.join();
 
-  std::vector<Clock::time_point> submitted(flood);
-  std::vector<std::future<Result<QueryResult>>> futures;
-  futures.reserve(flood);
-  for (size_t i = 0; i < flood; ++i) {
-    submitted[i] = Clock::now();
-    futures.push_back(async.SubmitAsync(warm_request));
+  ColdIsolationResult result;
+  std::vector<double> all;
+  for (size_t t = 0; t < warm_threads; ++t) {
+    all.insert(all.end(), latencies[t].begin(), latencies[t].end());
+    result.warm_submits_under_cold += under_cold[t];
   }
-  std::vector<double> latencies_ms(flood);
-  for (size_t i = 0; i < flood; ++i) {
-    futures[i].wait();
-    latencies_ms[i] = std::chrono::duration<double, std::milli>(
-                          Clock::now() - submitted[i])
-                          .count();
-    futures[i].get().ValueOrDie();
-  }
-  if (with_cold) {
-    cold_waiter.join();
-    cold_future.get().ValueOrDie();
-    for (std::future<Result<QueryResult>>& follower : cold_followers) {
-      follower.get().ValueOrDie();
-    }
-  }
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-  result.warm_p50_ms = latencies_ms[flood / 2];
-  result.warm_p99_ms = latencies_ms[std::min(flood - 1, flood * 99 / 100)];
-  result.stats = async.stats();
+  std::sort(all.begin(), all.end());
+  result.warm_submits = all.size();
+  result.warm_p50_ms = all[all.size() / 2];
+  result.warm_p99_ms = all[std::min(all.size() - 1, all.size() * 99 / 100)];
+  result.cold_plan_ms = *std::max_element(cold_ms.begin(), cold_ms.end());
+  result.cold_plan_misses = engine.plan_cache_stats().misses - misses_before;
   return result;
 }
 
@@ -507,18 +493,17 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------------
-  // θ>=2 grid: the single-pass scatter histogram release vs the legacy
-  // per-cell reconstruction it replaced (O(edges) vs O(k²·edges)), and
-  // the per-query range fast path, which now exists for its utility —
+  // θ>=2 grid: the single-pass scatter histogram release vs
+  // reconstructing all k² unit cells through the range path, and the
+  // per-query range fast path, which exists for its utility —
   // per-range error scales with the range perimeter instead of its
   // area — rather than for speed.
-  double scatter_ms = 0.0, legacy_est_ms = 0.0, fastpath_ms = 0.0;
+  double scatter_ms = 0.0, percell_ms = 0.0, fastpath_ms = 0.0;
   {
     const size_t k = smoke ? 64 : 256;
     const size_t theta = 4;
     const size_t num_ranges = smoke ? 100 : 500;
     const size_t warm_range_submits = smoke ? 3 : (full ? 20 : 5);
-    const size_t legacy_cells = smoke ? 64 : 256;  // sampled, then scaled
 
     QueryEngine engine(EngineOptions{/*seed=*/7, /*warm_plan_cache=*/false});
     engine
@@ -574,105 +559,110 @@ int main(int argc, char** argv) {
     bench::PrintRow("dense release (scatter)",
                     {"-", bench::Fmt(scatter_ms)});
 
-    // Legacy per-cell reconstruction, sampled on `legacy_cells` cells
-    // and scaled to the full k² (running all cells takes ~50 s at
-    // k=256 — the cost this PR removed).
+    // Every unit cell through the range path: the noisy slab releases
+    // are drawn once outside the stopwatch, then all k² cells are
+    // reconstructed from them. Printed for scale, not gated: the dense
+    // release uses the scatter pass for its per-range utility, and
+    // the two already agree bit for bit (engine_range_path_test).
     {
       Rng rng(13);
       auto mech = GridThetaRangeMechanism::Create(k, theta).ValueOrDie();
       const Vector data = Ramp(k * k);
       const Vector xg = mech->PrecomputeTransformed(data);
       std::vector<RangeQuery> cells;
-      for (size_t i = 0; i < legacy_cells; ++i) {
-        const size_t r = i / k, c = i % k;
-        cells.push_back({{r, c}, {r, c}});
+      cells.reserve(k * k);
+      for (size_t r = 0; r < k; ++r) {
+        for (size_t c = 0; c < k; ++c) cells.push_back({{r, c}, {r, c}});
       }
-      const RangeWorkload sampled("cells", DomainShape({k, k}),
-                                  std::move(cells));
+      const RangeWorkload unit_cells("cells", DomainShape({k, k}),
+                                     std::move(cells));
+      std::unique_ptr<GridThetaRangeMechanism::RangeCursor> cursor =
+          mech->BeginRanges(xg, Sum(data), 0.1, &rng);
+      Vector answers;
+      answers.reserve(k * k);
       watch.Restart();
-      mech->AnswerRangesOnTransformed(sampled, xg, Sum(data), 0.1, &rng);
-      legacy_est_ms = watch.ElapsedMillis() *
-                      static_cast<double>(k * k) /
-                      static_cast<double>(legacy_cells);
-      bench::PrintRow("legacy per-cell release (est.)",
-                      {"-", bench::Fmt(legacy_est_ms)});
+      cursor->AnswerNext(unit_cells, k * k, &answers);
+      percell_ms = watch.ElapsedMillis();
+      if (answers.size() != k * k) {
+        std::fprintf(stderr, "per-cell reconstruction answered %zu of %zu\n",
+                     answers.size(), k * k);
+        return 1;
+      }
+      bench::PrintRow("per-cell range reconstruction",
+                      {"-", bench::Fmt(percell_ms)});
     }
-
-    const double release_speedup = legacy_est_ms / scatter_ms;
-    std::printf("  scatter release speedup over per-cell: %.0fx\n",
-                release_speedup);
-    if (!smoke && release_speedup < 50.0) {
-      std::fprintf(stderr,
-                   "scatter release speedup %.1fx below the 50x floor\n",
-                   release_speedup);
-      failed = true;
-    }
+    std::printf("  per-cell reconstruction / scatter release: %.1fx\n",
+                percell_ms / scatter_ms);
   }
 
   // ------------------------------------------------------------------
-  // Async pipeline: warm submit-to-resolve latency with and without a
-  // concurrent cold plan. The cold lane runs a ~100ms spanner
-  // certification (theta-1D 4096) while the warm lane floods; if the
-  // lanes isolate properly, warm p99 barely moves.
-  AsyncFloodResult async_base, async_cold;
+  // Cold isolation: warm closed-loop latency from caller threads with
+  // and without a concurrent cold plan. A ~100ms spanner certification
+  // (theta-1D 4096) runs on its own thread, with two same-key followers
+  // that must wait on the serving slot's single flight rather than
+  // plan again; warm submits read their ready slot with one atomic
+  // load, so warm p99 barely moves.
+  ColdIsolationResult iso_base, iso_cold;
+  const size_t iso_threads = std::max<size_t>(1, std::min<size_t>(2, cores - 1));
   {
-    const size_t flood = smoke ? 200 : 2000;
-    async_base = AsyncWarmFlood(/*with_cold=*/false, flood);
-    async_cold = AsyncWarmFlood(/*with_cold=*/true, flood);
+    const size_t per_thread = smoke ? 100 : 1000;
+    iso_base = WarmUnderColdPlan(/*with_cold=*/false, iso_threads, per_thread);
+    iso_cold = WarmUnderColdPlan(/*with_cold=*/true, iso_threads, per_thread);
 
     bench::PrintHeader(
-        "BENCH_ENGINE async pipeline (4 workers, " + std::to_string(flood) +
-            " warm submits, cold = theta-1D 4096 spanner plan)",
-        {"warm p50 ms", "warm p99 ms", "cold ms", "peak depth"});
-    bench::PrintRow("warm flood alone",
-                    {bench::Fmt(async_base.warm_p50_ms),
-                     bench::Fmt(async_base.warm_p99_ms), "-",
-                     std::to_string(async_base.stats.warm.peak_depth)});
-    bench::PrintRow("warm flood + cold plan",
-                    {bench::Fmt(async_cold.warm_p50_ms),
-                     bench::Fmt(async_cold.warm_p99_ms),
-                     bench::Fmt(async_cold.cold_plan_ms),
-                     std::to_string(async_cold.stats.warm.peak_depth)});
+        "BENCH_ENGINE cold isolation (" + std::to_string(iso_threads) +
+            " warm caller threads, >= " + std::to_string(per_thread) +
+            " submits each; cold = theta-1D 4096 plan + 2 same-key "
+            "followers)",
+        {"warm p50 ms", "warm p99 ms", "cold ms", "warm submits"});
+    bench::PrintRow("warm alone",
+                    {bench::Fmt(iso_base.warm_p50_ms),
+                     bench::Fmt(iso_base.warm_p99_ms), "-",
+                     std::to_string(iso_base.warm_submits)});
+    bench::PrintRow("warm + cold plan",
+                    {bench::Fmt(iso_cold.warm_p50_ms),
+                     bench::Fmt(iso_cold.warm_p99_ms),
+                     bench::Fmt(iso_cold.cold_plan_ms),
+                     std::to_string(iso_cold.warm_submits)});
 
     // "Unaffected" gate: warm p99 under a concurrent cold plan stays
     // within 2x the no-cold baseline. The half-cold-cost floor keeps
     // the gate meaningful on one- and two-core hosts, where the cold
     // plan steals CPU (scheduler quanta land in the tail) even though
-    // no warm query ever queues behind it — the property the gate
-    // protects is "never pay the head-of-line price", and paying less
-    // than half the plan cost while sharing one core proves it.
-    const double p99_ceiling = std::max(2.0 * async_base.warm_p99_ms,
-                                        0.5 * async_cold.cold_plan_ms);
+    // no warm query ever waits on it — the property the gate protects
+    // is "never pay the head-of-line price", and paying less than half
+    // the plan cost while sharing one core proves it.
+    const double p99_ceiling = std::max(2.0 * iso_base.warm_p99_ms,
+                                        0.5 * iso_cold.cold_plan_ms);
     std::printf(
         "  warm p99 %.3f ms -> %.3f ms under cold plan (ceiling %.3f ms)\n",
-        async_base.warm_p99_ms, async_cold.warm_p99_ms, p99_ceiling);
-    if (!smoke && async_cold.warm_p99_ms > p99_ceiling) {
+        iso_base.warm_p99_ms, iso_cold.warm_p99_ms, p99_ceiling);
+    if (!smoke && iso_cold.warm_p99_ms > p99_ceiling) {
       std::fprintf(stderr,
-                   "cold plan blocked the warm lane: p99 %.3f ms vs "
+                   "cold plan blocked warm submits: p99 %.3f ms vs "
                    "ceiling %.3f ms (baseline %.3f ms, cold %.1f ms)\n",
-                   async_cold.warm_p99_ms, p99_ceiling,
-                   async_base.warm_p99_ms, async_cold.cold_plan_ms);
+                   iso_cold.warm_p99_ms, p99_ceiling, iso_base.warm_p99_ms,
+                   iso_cold.cold_plan_ms);
       failed = true;
     }
-    // The flood and the cold submit must both have used their lanes.
-    if (async_cold.stats.cold.enqueued == 0 ||
-        async_cold.stats.warm.enqueued == 0) {
-      std::fprintf(stderr, "async lanes were not exercised\n");
+    // Structural, not perf (enforced in smoke too): the warm samples
+    // must overlap the plan, or the p99 above says nothing about it,
+    // and the three cold submitters must have planned once — the
+    // leader planned, the two followers waited on its slot.
+    if (iso_cold.warm_submits_under_cold == 0) {
+      std::fprintf(stderr, "no warm submit ran while the cold plan did\n");
       return 1;
     }
-    // Structural, not perf (enforced in smoke too): the two same-key
-    // followers overlapped the leader's certification, so at least one
-    // must have parked-and-coalesced. Zero means the run measured
-    // nothing about coalescing and its JSON field would be a lie.
-    if (async_cold.stats.cold_plans_coalesced == 0) {
+    if (iso_cold.cold_plan_misses != 1) {
       std::fprintf(stderr,
-                   "cold_plans_coalesced == 0: same-key cold followers "
-                   "did not overlap the leader's plan\n");
+                   "three cold submitters planned %llu times (want 1)\n",
+                   static_cast<unsigned long long>(iso_cold.cold_plan_misses));
       return 1;
     }
-    std::printf("  cold plans coalesced behind the leader: %llu\n",
-                static_cast<unsigned long long>(
-                    async_cold.stats.cold_plans_coalesced));
+    std::printf(
+        "  %zu warm submits ran during the plan; 3 cold submitters planned "
+        "once\n",
+        iso_cold.warm_submits_under_cold);
   }
 
   // ------------------------------------------------------------------
@@ -1025,34 +1015,22 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "  \"theta_grid\": {\"fast_path_warm_ms\": %.3f, "
                  "\"scatter_release_ms\": %.3f, "
-                 "\"legacy_percell_est_ms\": %.3f},\n",
-                 fastpath_ms, scatter_ms, legacy_est_ms);
-    std::fprintf(out, "  \"async\": {\n");
+                 "\"percell_reconstruction_ms\": %.3f},\n",
+                 fastpath_ms, scatter_ms, percell_ms);
     std::fprintf(out,
-                 "    \"workers\": %zu,\n"
+                 "  \"cold_isolation\": {\n"
+                 "    \"warm_threads\": %zu,\n"
                  "    \"warm_p50_ms_base\": %.4f, \"warm_p99_ms_base\": "
                  "%.4f,\n"
                  "    \"warm_p50_ms_under_cold\": %.4f, "
                  "\"warm_p99_ms_under_cold\": %.4f,\n"
-                 "    \"cold_plan_ms\": %.2f,\n",
-                 async_cold.stats.workers, async_base.warm_p50_ms,
-                 async_base.warm_p99_ms, async_cold.warm_p50_ms,
-                 async_cold.warm_p99_ms, async_cold.cold_plan_ms);
-    std::fprintf(out,
-                 "    \"warm_peak_queue_depth\": %zu, "
-                 "\"cold_peak_queue_depth\": %zu,\n"
-                 "    \"cold_plans_coalesced\": %llu,\n",
-                 async_cold.stats.warm.peak_depth,
-                 async_cold.stats.cold.peak_depth,
-                 static_cast<unsigned long long>(
-                     async_cold.stats.cold_plans_coalesced));
-    std::fprintf(out,
-                 "    \"digest_warm_p50_ms\": %.4f, \"digest_warm_p99_ms\": "
-                 "%.4f,\n"
-                 "    \"digest_cold_p50_ms\": %.4f, \"digest_cold_p99_ms\": "
-                 "%.4f\n  },\n",
-                 async_cold.stats.warm.p50_ms, async_cold.stats.warm.p99_ms,
-                 async_cold.stats.cold.p50_ms, async_cold.stats.cold.p99_ms);
+                 "    \"cold_plan_ms\": %.2f, \"cold_plan_misses\": %llu,\n"
+                 "    \"warm_submits_under_cold\": %zu\n  },\n",
+                 iso_threads, iso_base.warm_p50_ms, iso_base.warm_p99_ms,
+                 iso_cold.warm_p50_ms, iso_cold.warm_p99_ms,
+                 iso_cold.cold_plan_ms,
+                 static_cast<unsigned long long>(iso_cold.cold_plan_misses),
+                 iso_cold.warm_submits_under_cold);
     std::fprintf(out,
                  "  \"stream\": {\"materialize_ms\": %.3f, "
                  "\"stream_total_ms\": %.3f, \"time_to_first_chunk_ms\": "

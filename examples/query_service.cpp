@@ -1,18 +1,19 @@
 // A miniature policy-aware query service: the engine holds several
 // published datasets (each under its own Blowfish policy and total ε
 // cap), analysts open sessions with personal ε grants, and repeated
-// queries reuse cached plans until a budget runs dry. The final round
-// runs the async pipeline: futures, cold/warm lane isolation, and
-// cancellation at shutdown.
+// queries reuse cached plans until a budget runs dry. The later rounds
+// serve from several caller threads at once — a cold plan on one
+// thread never blocks warm queries on another — and stream a large
+// answer vector chunk by chunk.
 //
 // Build & run:  ./example_query_service
 
 #include <cstdio>
-#include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
-#include "engine/async_engine.h"
+#include "engine/query_engine.h"
 #include "workload/builders.h"
 
 using namespace blowfish;
@@ -62,10 +63,8 @@ void Report(const char* who, const Result<QueryResult>& outcome) {
 }  // namespace
 
 int main() {
-  // The async pipeline owns the engine; the admin plane and
-  // synchronous submits go through engine() unchanged.
-  AsyncQueryEngine async;
-  QueryEngine& engine = async.engine();
+  // One engine serves every caller; callers bring their own threads.
+  QueryEngine engine;
 
   // The data owners publish: salaries under a line policy (adjacent
   // bins indistinguishable), check-ins under a θ=1 grid policy
@@ -168,10 +167,13 @@ int main() {
   // Bob has 0.5 - 0.25 - 0.25 = 0 left; the engine refuses cleanly.
   Report("bob", engine.Submit(request));
 
-  std::printf("\nround 6 — async pipeline (futures, cold/warm lanes):\n");
-  // A new dataset goes live under a policy that needs a fresh plan
-  // (the cold lane), while alice's warm dashboard queries keep
-  // flowing through the warm lane: the cold plan never blocks them.
+  std::printf("\nround 6 — a cold plan on its own thread, warm queries flow:\n");
+  // A new dataset goes live under a policy that needs a fresh plan.
+  // Carol's first query plans it on a thread of its own, while her
+  // warm dashboard queries keep running on this one: a warm submit
+  // reads its ready serving slot with one atomic load, so the cold
+  // plan (single-flight on the new policy's own slot) never blocks
+  // it.
   engine
       .RegisterPolicy("roads", Theta1DPolicy(512, 4), Ramp512(), 5.0)
       .Check();
@@ -181,34 +183,27 @@ int main() {
   cold.policy = "roads";
   cold.workload = IdentityWorkload(512);
   cold.epsilon = 0.2;
-  std::future<Result<QueryResult>> cold_future = async.SubmitAsync(cold);
-  std::vector<std::future<Result<QueryResult>>> warm_futures;
+  Result<QueryResult> cold_outcome = Status::Internal("not run");
+  std::thread planner([&] { cold_outcome = engine.Submit(cold); });
   QueryRequest warm;
   warm.session = "carol";
   warm.policy = "mobility";
   warm.ranges = RangeWorkload("center", DomainShape({16, 16}),
                               {{{4, 4}, {11, 11}}});
   warm.epsilon = 0.05;
-  for (int i = 0; i < 4; ++i) warm_futures.push_back(async.SubmitAsync(warm));
-  for (auto& future : warm_futures) Report("carol", future.get());
-  Report("carol", cold_future.get());
-  const AsyncStats async_stats = async.stats();
-  std::printf(
-      "  async lanes: warm %llu done (p99 %.2f ms), cold %llu done "
-      "(p99 %.2f ms), %llu plans coalesced\n",
-      static_cast<unsigned long long>(async_stats.warm.completed),
-      async_stats.warm.p99_ms,
-      static_cast<unsigned long long>(async_stats.cold.completed),
-      async_stats.cold.p99_ms,
-      static_cast<unsigned long long>(async_stats.cold_plans_coalesced));
+  std::vector<Result<QueryResult>> warm_outcomes;
+  for (int i = 0; i < 4; ++i) warm_outcomes.push_back(engine.Submit(warm));
+  planner.join();
+  for (const auto& outcome : warm_outcomes) Report("carol", outcome);
+  Report("carol", cold_outcome);
+
   std::printf("\nround 7 — result streaming (chunks flow while a plan runs):\n");
   // Carol scans every cell of the mobility grid. Instead of waiting
   // for all 256 answers, she streams them: ε is charged once at
-  // admission, the noisy releases are drawn immediately, and the
-  // chunks are post-processing — delivered while yet another new
-  // policy ("floors") plans in the cold lane. The bounded chunk
-  // buffer means a slow consumer parks the producer instead of
-  // holding a worker.
+  // admission, the noisy releases are drawn immediately, and each
+  // chunk is post-processing computed on her own thread when she asks
+  // for it — while yet another new policy ("floors") plans on a
+  // second thread.
   engine
       .RegisterPolicy("floors", GridPolicy(DomainShape({8, 8}), 1),
                       CheckinCounts(), 5.0)
@@ -218,7 +213,8 @@ int main() {
   cold2.policy = "floors";
   cold2.workload = IdentityWorkload(64);
   cold2.epsilon = 0.1;
-  std::future<Result<QueryResult>> floors_future = async.SubmitAsync(cold2);
+  Result<QueryResult> floors_outcome = Status::Internal("not run");
+  std::thread floors_planner([&] { floors_outcome = engine.Submit(cold2); });
 
   std::vector<RangeQuery> cells;
   for (size_t r = 0; r < 16; ++r)
@@ -231,9 +227,8 @@ int main() {
   scan.epsilon = 0.1;
   StreamOptions stream_options;
   stream_options.chunk_queries = 64;
-  stream_options.max_buffered_chunks = 2;
   std::shared_ptr<ResultStream> stream =
-      async.SubmitStreamAsync(scan, stream_options);
+      engine.SubmitStream(scan, stream_options).ValueOrDie();
   const StreamHeader header = stream->header().ValueOrDie();
   std::printf("  stream admitted via %s%s, %zu answers inbound\n",
               header.plan_kind.c_str(),
@@ -248,26 +243,19 @@ int main() {
     std::printf("  chunk @%3zu: %zu answers (noisy mass %.1f)\n",
                 chunk.offset, chunk.values.size(), sum);
   }
-  Report("carol", floors_future.get());
-  const AsyncStats stream_stats = async.stats();
-  std::printf(
-      "  streams: %llu completed, %llu chunks, %llu producer parks, "
-      "first chunk p99 %.2f ms\n",
-      static_cast<unsigned long long>(stream_stats.stream.completed),
-      static_cast<unsigned long long>(stream_stats.stream.chunks_emitted),
-      static_cast<unsigned long long>(stream_stats.stream.producer_parks),
-      stream_stats.stream.ttfc_p99_ms);
+  floors_planner.join();
+  Report("carol", floors_outcome);
 
-  // A future — or stream — the service shuts down under resolves as
-  // kCancelled exactly once; callers always get an answer, even when
-  // it is "no".
-  async.Pause();
-  std::future<Result<QueryResult>> doomed = async.SubmitAsync(warm);
-  std::shared_ptr<ResultStream> doomed_stream = async.SubmitStreamAsync(scan);
-  async.Shutdown(AsyncQueryEngine::ShutdownMode::kCancelPending);
-  Report("carol", doomed.get());
-  const Result<StreamNext> cancelled = doomed_stream->Next(&chunk);
-  std::printf("  stream  -> %s\n", cancelled.status().ToString().c_str());
+  // A stream abandoned after its first chunk: Cancel is sticky, and
+  // the ε charged at admission stands (the noise was already drawn).
+  std::shared_ptr<ResultStream> abandoned =
+      engine.SubmitStream(scan, stream_options).ValueOrDie();
+  abandoned->Next(&chunk).ValueOrDie();
+  abandoned->Cancel();
+  const Result<StreamNext> cancelled = abandoned->Next(&chunk);
+  std::printf("  stream  -> %s, session eps left %.2f\n",
+              cancelled.status().ToString().c_str(),
+              *engine.SessionRemaining("carol"));
 
   const QueryEngine::PlanCacheStats stats = engine.plan_cache_stats();
   std::printf("\nplan cache: %llu hits, %llu misses, %zu entries\n",
@@ -278,7 +266,7 @@ int main() {
 
   std::printf("\nround 8 — telemetry (the whole service in two dumps):\n");
   // Every component above fed one registry: submits, ε charged,
-  // refusals, cache levels, async lane latencies, stream parks. The
+  // refusals, cache levels, streams, per-tenant slices. The
   // snapshot is what a /metrics endpoint would serve; the ε-audit
   // JSONL is the crash-exportable spend record — one line per charge
   // or refusal, with post-charge balances, replayable against the

@@ -76,8 +76,8 @@ ServingState BuildServingState(
     std::shared_ptr<const BlowfishMechanism::ReleasePrecompute> precompute =
         nullptr);
 
-/// The key `version << 1 | option` naming one serving slot: the unit
-/// of cold single flight and of a persisted transform. Versions are
+/// The key `version << 1 | option` naming one serving slot (the
+/// unit of cold single flight) in a persisted snapshot. Versions are
 /// unique across the registry, so a key never aliases another policy.
 inline uint64_t ServingSlotKey(uint64_t version, size_t option) {
   return (version << 1) | option;
@@ -134,8 +134,8 @@ struct RegisteredPolicy {
   PolicyMetadata metadata;
   /// Unique across the registry's lifetime (monotonic counter, never
   /// reused even through Unregister+Register under the same name), so
-  /// (name, version) keys — budget ledgers, the async pipeline's cold
-  /// keys — can never alias a different entry.
+  /// (name, version) keys — budget ledgers, serving-slot keys — can
+  /// never alias a different entry.
   uint64_t version = 0;
   /// This version's budget-cap ledger, resolved once at registration
   /// so a warm submit charges the cap without touching the

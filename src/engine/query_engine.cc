@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -327,19 +326,6 @@ HealthReport QueryEngine::Healthz() const {
   body += std::to_string(telemetry_.traces().dropped());
   body += ",\"flight_incident\":";
   body += telemetry_.flight().incident_fired() ? "true" : "false";
-  // Async lane depths exist only when an AsyncQueryEngine registered
-  // them into this registry; a sync-only engine simply omits them.
-  const char* depth_gauges[] = {"engine_async_warm_depth",
-                                "engine_async_cold_depth"};
-  const char* depth_keys[] = {"async_warm_depth", "async_cold_depth"};
-  for (size_t i = 0; i < 2; ++i) {
-    double depth = 0.0;
-    if (telemetry_.metrics().TryReadValue(depth_gauges[i], &depth)) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), ",\"%s\":%.0f", depth_keys[i], depth);
-      body += buf;
-    }
-  }
   body += "}\n";
   return report;
 }
@@ -425,7 +411,6 @@ void QueryEngine::RecordRequestObs(const QueryRequest& request,
     record.admit_us = admit_us;
     record.total_us = total_us;
     record.outcome = FlightOutcomeOf(status);
-    record.lane = CurrentFlightLane();
     record.SetTenant(tenant);
     record.SetPolicy(policy_label);
     if (flight.Record(record) && !options_.flight_dump_path.empty()) {
@@ -712,8 +697,7 @@ Status QueryEngine::UnregisterPolicy(const std::string& name) {
   return Status::OK();
 }
 
-bool QueryEngine::IsWarm(const QueryRequest& request,
-                         uint64_t* cold_key) const {
+bool QueryEngine::IsWarm(const QueryRequest& request) const {
   Result<std::shared_ptr<const RegisteredPolicy>> lookup =
       request.policy_handle.valid() ? registry_.Get(request.policy_handle)
                                     : registry_.Get(request.policy);
@@ -721,10 +705,7 @@ bool QueryEngine::IsWarm(const QueryRequest& request,
   // any planning — nothing cold about it.
   if (!lookup.ok()) return true;
   const RegisteredPolicy& entry = *lookup.ValueOrDie();
-  const size_t slot = request.prefer_data_dependent ? 1 : 0;
-  if (entry.slots[slot].get() != nullptr) return true;
-  if (cold_key != nullptr) *cold_key = ServingSlotKey(entry.version, slot);
-  return false;
+  return entry.slots[request.prefer_data_dependent ? 1 : 0].get() != nullptr;
 }
 
 QueryEngine::PlanCacheStats QueryEngine::plan_cache_stats() const {
@@ -989,18 +970,19 @@ class DenseStreamCursor : public ChunkCursor {
 
 }  // namespace
 
-Result<std::unique_ptr<ChunkCursor>> QueryEngine::AdmitStream(
-    QueryRequest request, const StreamOptions& options, StreamHeader* header,
-    RequestTrace* trace) {
+Result<std::shared_ptr<ResultStream>> QueryEngine::SubmitStream(
+    QueryRequest request, const StreamOptions& options) {
   m_streams_->Add(1);
+  RequestTrace trace = telemetry_.MaybeStartTrace();
   std::chrono::steady_clock::time_point start;
   if (obs_enabled_) start = std::chrono::steady_clock::now();
-  Result<Admission> admitted = Admit(request, trace);
+  Result<Admission> admitted = Admit(request, &trace);
   const uint32_t admit_us =
       obs_enabled_ ? Micros(std::chrono::steady_clock::now() - start) : 0;
   if (!admitted.ok()) {
     RecordRequestObs(request, nullptr, admitted.status(),
                      /*charged_epsilon=*/0.0, admit_us, admit_us);
+    telemetry_.FinishTrace(&trace, false);
     return admitted.status();
   }
   const Admission admission = std::move(admitted).ValueOrDie();
@@ -1009,44 +991,38 @@ Result<std::unique_ptr<ChunkCursor>> QueryEngine::AdmitStream(
   // lands in the release-stage histogram instead.
   RecordRequestObs(request, admission.entry.get(), Status::OK(),
                    request.epsilon, admit_us, admit_us);
-  // The release stage covers the noise draw and the cursor's set-up
-  // (chunk production afterwards is pure post-processing, timed by the
-  // stream digests instead).
-  TraceStageTimer timer(trace, TraceStage::kRelease);
-  Draw draw = DrawRelease(request, admission);
-  const size_t chunk_queries = std::max<size_t>(1, options.chunk_queries);
-  std::unique_ptr<ChunkCursor> cursor;
-  if (draw.ranges != nullptr) {
-    cursor = std::make_unique<GridStreamCursor>(
-        admission.entry, std::move(*request.ranges), std::move(draw.ranges),
-        chunk_queries);
-    header->range_fast_path = true;
-  } else if (request.ranges.has_value()) {
-    cursor = std::make_unique<SatStreamCursor>(std::move(*request.ranges),
-                                               draw.estimate, chunk_queries);
-  } else {
-    cursor = std::make_unique<DenseStreamCursor>(
-        std::move(request.workload), std::move(draw.estimate), chunk_queries);
-  }
-  header->plan_kind = admission.state->plan.kind;
-  header->plan_cache_hit = admission.cache_hit;
-  header->guarantee = std::move(draw.guarantee);
-  header->session_remaining = admission.remaining[0];
-  header->policy_remaining = admission.remaining[1];
-  header->total_answers = cursor->total_answers();
-  return cursor;
-}
-
-Result<std::shared_ptr<ResultStream>> QueryEngine::SubmitStream(
-    QueryRequest request, const StreamOptions& options) {
   StreamHeader header;
-  RequestTrace trace = telemetry_.MaybeStartTrace();
-  Result<std::unique_ptr<ChunkCursor>> cursor =
-      AdmitStream(std::move(request), options, &header, &trace);
-  telemetry_.FinishTrace(&trace, cursor.ok());
-  if (!cursor.ok()) return cursor.status();
-  return ResultStream::MakeInline(std::move(cursor).ValueOrDie(),
-                                  std::move(header));
+  std::unique_ptr<ChunkCursor> cursor;
+  {
+    // The release stage covers the noise draw and the cursor's set-up;
+    // chunk production afterwards is pure post-processing on the
+    // consumer's thread.
+    TraceStageTimer timer(&trace, TraceStage::kRelease);
+    Draw draw = DrawRelease(request, admission);
+    const size_t chunk_queries = std::max<size_t>(1, options.chunk_queries);
+    if (draw.ranges != nullptr) {
+      cursor = std::make_unique<GridStreamCursor>(
+          admission.entry, std::move(*request.ranges), std::move(draw.ranges),
+          chunk_queries);
+      header.range_fast_path = true;
+    } else if (request.ranges.has_value()) {
+      cursor = std::make_unique<SatStreamCursor>(std::move(*request.ranges),
+                                                 draw.estimate, chunk_queries);
+    } else {
+      cursor = std::make_unique<DenseStreamCursor>(
+          std::move(request.workload), std::move(draw.estimate),
+          chunk_queries);
+    }
+    header.guarantee = std::move(draw.guarantee);
+  }
+  telemetry_.FinishTrace(&trace, true);
+  header.plan_kind = admission.state->plan.kind;
+  header.plan_cache_hit = admission.cache_hit;
+  header.session_remaining = admission.remaining[0];
+  header.policy_remaining = admission.remaining[1];
+  header.total_answers = cursor->total_answers();
+  return std::shared_ptr<ResultStream>(
+      new ResultStream(std::move(cursor), std::move(header)));
 }
 
 Status QueryEngine::Resolve(const QueryRequest& request, RequestTrace* trace,

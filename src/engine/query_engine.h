@@ -60,12 +60,16 @@
 // (BatchOptions::disjoint_domains, the paper's parallel-composition
 // rule: one neighbor step touches one part).
 //
-// Concurrency. Registry and accountant are sharded (see their
-// headers), plans and precomputes are immutable after construction
-// with caller-provided randomness — each submit derives a private Rng
-// stream from the engine seed and a submit counter, so concurrent
-// submits are reproducible-in-aggregate and never share generator
-// state.
+// Concurrency. QueryEngine is the one request path and owns no
+// threads: callers submit from their own. Registry and accountant are
+// sharded (see their headers), plans and precomputes are immutable
+// after construction with caller-provided randomness — each submit
+// derives a private Rng stream from the engine seed and a submit
+// counter, so concurrent submits are reproducible-in-aggregate and
+// never share generator state. A cold plan does not block warm
+// submits: a warm submit reads its serving slot with one acquire load,
+// and a cold build is single-flight on that slot's own mutex, so only
+// same-slot callers wait for it (and share its result).
 
 #ifndef BLOWFISH_ENGINE_QUERY_ENGINE_H_
 #define BLOWFISH_ENGINE_QUERY_ENGINE_H_
@@ -92,12 +96,6 @@
 
 namespace blowfish {
 
-/// What a bounded submission queue does with a submit it cannot hold.
-enum class QueueFullPolicy {
-  kReject,  ///< fail immediately with kUnavailable (default)
-  kBlock,   ///< block the submitter until space frees up
-};
-
 struct EngineOptions {
   /// Root seed for the engine's per-submit random streams. Leave
   /// unset in deployments: a predictable seed lets an adversary
@@ -109,27 +107,13 @@ struct EngineOptions {
   /// so the first submit is already warm.
   bool warm_plan_cache = false;
 
-  // ---- AsyncQueryEngine knobs (ignored by the synchronous engine) ----
-
-  /// Worker threads draining the submission queue; 0 means
-  /// hardware_concurrency.
-  size_t async_workers = 0;
-  /// Bound on queued-but-not-started requests across both lanes (a
-  /// batch counts one slot per entry). Must be >= 1.
-  size_t async_queue_capacity = 1024;
-  /// What SubmitAsync does when the queue is at capacity.
-  QueueFullPolicy async_queue_full = QueueFullPolicy::kReject;
-  /// Destructor behavior: false (default) resolves still-queued
-  /// futures with kCancelled; true drains the queue first.
-  bool async_drain_on_destruct = false;
-
   // ---- telemetry knobs (see engine/telemetry.h) ----
 
   /// Fraction of submits carrying a full per-stage trace (validate →
-  /// resolve → plan → charge → release, plus the async waits). 0 (the
-  /// default) turns the sampler into a single load — no clocks, no
-  /// allocation on the hot path; small rates (0.01) are cheap enough
-  /// to stay on in production.
+  /// resolve → plan → charge → release). 0 (the default) turns the
+  /// sampler into a single load — no clocks, no allocation on the hot
+  /// path; small rates (0.01) are cheap enough to stay on in
+  /// production.
   double trace_sample_rate = 0.0;
   /// Events retained by the ε-audit ring (spends and refusals, with
   /// post-charge balances). 0 disables audit capture entirely.
@@ -380,11 +364,11 @@ class QueryEngine {
   /// any noise is drawn, so a refusal releases nothing).
   Result<QueryResult> Submit(const QueryRequest& request);
 
-  /// Submit with a caller-owned trace span (the async pipeline passes
-  /// the span it started at enqueue so queue-wait and admission
-  /// stages land on one trace). The caller keeps ownership: this
-  /// overload records admission/release stages into `trace` but never
-  /// finishes it. Plain Submit == MaybeStartTrace + this + FinishTrace.
+  /// Submit with a caller-owned trace span (a harness that joins its
+  /// own client-side spans to the engine's stages passes one in). The
+  /// caller keeps ownership: this overload records admission/release
+  /// stages into `trace` but never finishes it. Plain Submit ==
+  /// MaybeStartTrace + this + FinishTrace.
   Result<QueryResult> Submit(const QueryRequest& request,
                              RequestTrace* trace);
 
@@ -392,27 +376,16 @@ class QueryEngine {
   /// materialized answer vector. Admission — validate, resolve, plan,
   /// charge ε atomically — is identical to Submit, and *all* noise is
   /// drawn before this returns, so the stream's chunks are pure
-  /// post-processing of releases the charge already covers. The
-  /// returned stream is in inline mode: Next() computes the next
-  /// chunk on the consumer's own thread (use
-  /// AsyncQueryEngine::SubmitStreamAsync for a worker-produced,
-  /// flow-controlled channel). Concatenating every chunk is
-  /// bit-identical to Submit's answer vector for the same engine
-  /// state and seed. Cancelling mid-stream keeps the ledger charge.
-  /// Errors mirror Submit's.
+  /// post-processing of releases the charge already covers. Next()
+  /// computes the next chunk on the consumer's own thread.
+  /// Concatenating every chunk is bit-identical to Submit's answer
+  /// vector for the same engine state and seed. Cancelling mid-stream
+  /// keeps the ledger charge. Errors mirror Submit's. The request is
+  /// taken by value so its workload moves into the stream's cursor
+  /// instead of being deep-copied (a dense W can be large — streaming
+  /// exists to avoid duplicating exactly that).
   Result<std::shared_ptr<ResultStream>> SubmitStream(
       QueryRequest request, const StreamOptions& options = StreamOptions());
-
-  /// Streaming admission primitive behind SubmitStream (also used by
-  /// the async pipeline): performs Submit's admission — ε is spent
-  /// here — and draws the noise through Submit's dispatch, then fills
-  /// `header` and wraps the drawn release in a resumable cursor over
-  /// the answers. The request is taken by value so its workload moves
-  /// into the cursor instead of being deep-copied (a dense W can be
-  /// large — streaming exists to avoid duplicating exactly that).
-  Result<std::unique_ptr<ChunkCursor>> AdmitStream(
-      QueryRequest request, const StreamOptions& options, StreamHeader* header,
-      RequestTrace* trace = nullptr);
 
   /// Executes a batch; entry i is the outcome of request i. Each entry
   /// passes Submit's resolve step; requests are then grouped by
@@ -443,17 +416,13 @@ class QueryEngine {
   /// work: the target snapshot's serving slot (plan + noise-free
   /// release precompute) is already built. Requests that cannot
   /// resolve a policy at all also count as warm — they fail fast
-  /// without planning. When the request is cold and `cold_key` is
-  /// non-null, it receives `version << 1 | option`, naming the slot
-  /// that is the unit of cold single-flight (versions are unique
-  /// across the registry, so the key never aliases another policy).
-  bool IsWarm(const QueryRequest& request, uint64_t* cold_key = nullptr) const;
+  /// without planning.
+  bool IsWarm(const QueryRequest& request) const;
 
   const EngineOptions& options() const { return options_; }
 
   /// The engine's observability bundle: metrics registry (every
-  /// component registers here — the async pipeline adds its lane
-  /// metrics to the same registry), the ε-audit event log, the
+  /// component registers here), the ε-audit event log, the
   /// always-on flight recorder, and the trace sampler/ring. See
   /// engine/telemetry.h.
   EngineTelemetry& telemetry() { return telemetry_; }
@@ -471,9 +440,9 @@ class QueryEngine {
   /// The composed health probe /healthz serves: 200 (ok) while
   /// charges can be made durable, 503 the moment durability_health()
   /// refuses — the same fail-closed signal requests refuse with. The
-  /// JSON body additionally reports snapshot generation, async queue
-  /// depths, active burn alerts, and audit/trace ring drops (context
-  /// for the on-call, not part of the up/down decision).
+  /// JSON body additionally reports snapshot generation, active burn
+  /// alerts, and audit/trace ring drops (context for the on-call, not
+  /// part of the up/down decision).
   HealthReport Healthz() const;
 
   /// \brief Plan lookups: one per admission (a batch group counts

@@ -5,141 +5,52 @@
 
 namespace blowfish {
 
-namespace {
-constexpr const char* kCancelMsg = "stream cancelled by the consumer";
-}  // namespace
-
-std::shared_ptr<ResultStream> ResultStream::MakeInline(
-    std::unique_ptr<ChunkCursor> cursor, StreamHeader header) {
-  std::shared_ptr<ResultStream> stream(new ResultStream());
-  // Pre-publication (no other thread can hold the handle yet), but the
-  // locks keep the guarded writes checkable — both are uncontended.
-  std::lock_guard<std::mutex> produce(stream->produce_mu_);
-  std::lock_guard<std::mutex> lock(stream->mu_);
-  stream->capacity_ = 0;
-  stream->inline_cursor_ = std::move(cursor);
-  stream->header_ = Result<StreamHeader>(std::move(header));
-  return stream;
-}
-
-std::shared_ptr<ResultStream> ResultStream::MakeChannel(size_t max_buffered) {
-  std::shared_ptr<ResultStream> stream(new ResultStream());
-  std::lock_guard<std::mutex> lock(stream->mu_);
-  stream->capacity_ = std::max<size_t>(1, max_buffered);
-  return stream;
-}
+ResultStream::ResultStream(std::unique_ptr<ChunkCursor> cursor,
+                           StreamHeader header)
+    : header_(std::move(header)), cursor_(std::move(cursor)) {}
 
 Result<StreamNext> ResultStream::TerminalLocked() const {
   if (terminal_.ok()) return StreamNext::kDone;
   return Result<StreamNext>(terminal_);
 }
 
-Result<StreamNext> ResultStream::PopLocked(StreamChunk* out,
-                                           std::unique_lock<std::mutex>* lock) {
-  *out = std::move(buffer_.front());
-  buffer_.pop_front();
-  resident_bytes_ -= out->values.size() * sizeof(double);
-  // Freed a buffer slot: a parked producer may resume. The hook runs
-  // outside the stream lock (it re-enters the async engine).
-  std::function<void()> hook = std::move(space_hook_);
-  space_hook_ = nullptr;
-  lock->unlock();
-  if (hook) hook();
-  return StreamNext::kChunk;
-}
-
 Result<StreamNext> ResultStream::Next(StreamChunk* out) {
-  for (;;) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!buffer_.empty()) return PopLocked(out, &lock);
-    if (closed_) return TerminalLocked();
-    if (capacity_ == 0) {
-      // Inline stream: production happens on this thread.
-      lock.unlock();
-      return ProduceInline(out);
-    }
-    data_cv_.wait(lock);
-  }
-}
-
-Result<StreamNext> ResultStream::TryNext(StreamChunk* out) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!buffer_.empty()) return PopLocked(out, &lock);
-    if (closed_) return TerminalLocked();
-    if (capacity_ != 0) return StreamNext::kPending;
-  }
-  // Inline stream: producing is the only way to make progress, so
-  // TryNext degenerates to Next (documented; never kPending).
-  return ProduceInline(out);
-}
-
-Result<StreamNext> ResultStream::ProduceInline(StreamChunk* out) {
-  // Serializes concurrent consumers of an inline stream; the cursor is
-  // touched only under this mutex.
+  // Serializes concurrent consumers; the cursor is touched only under
+  // this mutex.
   std::lock_guard<std::mutex> produce(produce_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     // A Cancel (or a concurrent consumer finishing the cursor) may
     // have reached the terminal state while we waited for our turn.
-    if (closed_) return TerminalLocked();
+    if (closed_) {
+      cursor_.reset();
+      return TerminalLocked();
+    }
   }
-  std::optional<StreamChunk> chunk = inline_cursor_->NextChunk();
+  std::optional<StreamChunk> chunk = cursor_->NextChunk();
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_) {
     // Cancel raced the computation: the chunk is dropped, the cursor
     // freed — the ledger charge stands (noise was drawn at admission).
-    inline_cursor_.reset();
+    cursor_.reset();
     return TerminalLocked();
   }
   if (!chunk.has_value()) {
     closed_ = true;
-    terminal_ = Status::OK();
-    inline_cursor_.reset();
-    data_cv_.notify_all();
+    cursor_.reset();
     return StreamNext::kDone;
   }
-  peak_resident_bytes_ = std::max(
-      peak_resident_bytes_,
-      resident_bytes_ + chunk->values.size() * sizeof(double));
+  peak_resident_bytes_ = std::max(peak_resident_bytes_,
+                                  chunk->values.size() * sizeof(double));
   *out = std::move(*chunk);
   return StreamNext::kChunk;
 }
 
 void ResultStream::Cancel() {
-  std::function<void()> hook;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cancel_requested_ = true;
-    if (!closed_) {
-      closed_ = true;
-      terminal_ = Status::Cancelled(kCancelMsg);
-    }
-    // A channel stream cancelled before a worker admitted it has no
-    // header yet; resolve it here so header() can never outlive the
-    // consumer's own decision to walk away (the producer's later
-    // Abort/ResolveHeader is a no-op against this).
-    if (!header_.has_value()) {
-      header_ = Result<StreamHeader>(terminal_);
-      header_cv_.notify_all();
-    }
-    // The consumer walked away: buffered chunks are dropped (they were
-    // already-released post-processing; dropping them leaks nothing).
-    buffer_.clear();
-    resident_bytes_ = 0;
-    hook = std::move(space_hook_);
-    space_hook_ = nullptr;
-    data_cv_.notify_all();
-  }
-  // Wake a parked producer so it observes the cancel, frees its slot,
-  // and resolves its bookkeeping.
-  if (hook) hook();
-}
-
-Result<StreamHeader> ResultStream::header() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!header_.has_value()) header_cv_.wait(lock);
-  return *header_;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_) return;  // kDone (or an earlier Cancel) stands
+  closed_ = true;
+  terminal_ = Status::Cancelled("stream cancelled by the consumer");
 }
 
 bool ResultStream::finished() const {
@@ -147,79 +58,9 @@ bool ResultStream::finished() const {
   return closed_;
 }
 
-size_t ResultStream::buffered() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return buffer_.size();
-}
-
 size_t ResultStream::peak_resident_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return peak_resident_bytes_;
-}
-
-void ResultStream::ResolveHeader(Result<StreamHeader> header) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (header_.has_value()) return;  // exactly once; Abort may have won
-  header_ = std::move(header);
-  header_cv_.notify_all();
-}
-
-void ResultStream::Abort(Status status) {
-  std::function<void()> hook;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!header_.has_value()) {
-      header_ = Result<StreamHeader>(status);
-      header_cv_.notify_all();
-    }
-    if (!closed_) {
-      closed_ = true;
-      terminal_ = std::move(status);
-    }
-    hook = std::move(space_hook_);
-    space_hook_ = nullptr;
-    data_cv_.notify_all();
-  }
-  if (hook) hook();
-}
-
-ResultStream::Push ResultStream::TryPush(StreamChunk* chunk) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (closed_) return Push::kClosed;
-  if (buffer_.size() >= capacity_) return Push::kFull;
-  resident_bytes_ += chunk->values.size() * sizeof(double);
-  peak_resident_bytes_ = std::max(peak_resident_bytes_, resident_bytes_);
-  buffer_.push_back(std::move(*chunk));
-  data_cv_.notify_one();
-  return Push::kOk;
-}
-
-bool ResultStream::InstallSpaceHook(std::function<void()> hook) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Space freed (or the stream died) between TryPush and here: the
-  // caller must retry instead of parking, or it would sleep forever.
-  if (closed_ || buffer_.size() < capacity_) return false;
-  space_hook_ = std::move(hook);
-  return true;
-}
-
-void ResultStream::Close(Status terminal) {
-  std::function<void()> hook;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return;  // Cancel already won; its status stands
-    closed_ = true;
-    terminal_ = std::move(terminal);
-    hook = std::move(space_hook_);
-    space_hook_ = nullptr;
-    data_cv_.notify_all();
-  }
-  if (hook) hook();
-}
-
-bool ResultStream::cancelled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cancel_requested_ || closed_;
 }
 
 }  // namespace blowfish

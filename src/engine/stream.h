@@ -1,9 +1,9 @@
 // Result streaming: chunked delivery of workload answers.
 //
 // A Submit materializes the full `W x̂` answer vector before the
-// caller sees anything — a million-range workload holds a worker and
-// one contiguous allocation until the last element is computed. But
-// every execution path in this engine is already incremental after
+// caller sees anything — a million-range workload holds the caller
+// and one contiguous allocation until the last element is computed.
+// But every execution path in this engine is already incremental after
 // its noise is drawn: the θ>=2 grid fast path reconstructs answers
 // query by query from the noisy slab releases, the summed-area path
 // answers ranges one inclusion-exclusion probe at a time, and a dense
@@ -19,31 +19,21 @@
 // stream mid-way therefore keeps the ledger charge — the privacy was
 // spent when the releases were drawn, not when the answers were read.
 //
-// Two producer modes share one consumer API:
+// Production is inline: QueryEngine::SubmitStream admits the request
+// and returns the handle, and each Next() runs the resumable cursor on
+// the consumer's own thread. Chunks are never buffered, so resident
+// answer memory is one chunk. The cursor holds its own references to
+// the policy snapshot and the drawn releases, so a stream may outlive
+// the engine that admitted it.
 //
-//   inline (QueryEngine::SubmitStream)      Next() runs the resumable
-//     cursor on the consumer's own thread; chunks are never buffered.
-//   channel (AsyncQueryEngine::SubmitStreamAsync)   a worker produces
-//     into a bounded chunk buffer; when the consumer lags, the
-//     producer *parks* — TryPush returns kFull, the worker installs a
-//     space hook and returns to the pool, and the next Next()/Cancel()
-//     fires the hook so the async engine re-enqueues the producer
-//     (by then warm). A slow consumer never holds a worker.
-//
-// Terminal contract (matching the async future contract): every
-// stream reaches exactly one terminal state — kDone (all chunks
-// delivered), or a sticky error status (kCancelled for consumer
-// Cancel() and engine shutdown, or the admission failure). Next()
-// first drains buffered chunks, then reports the terminal state on
-// every subsequent call.
+// Terminal contract: every stream reaches exactly one terminal state —
+// kDone (all chunks delivered) or kCancelled (consumer Cancel()) — and
+// reports it on every later Next().
 
 #ifndef BLOWFISH_ENGINE_STREAM_H_
 #define BLOWFISH_ENGINE_STREAM_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -57,15 +47,11 @@
 namespace blowfish {
 
 class QueryEngine;
-class AsyncQueryEngine;
 
 /// \brief Per-stream shaping knobs, passed alongside the QueryRequest.
 struct StreamOptions {
   /// Answers per chunk (the final chunk may be shorter). Must be >= 1.
   size_t chunk_queries = 256;
-  /// Bound on produced-but-unconsumed chunks (channel mode only): the
-  /// producer parks once this many chunks are buffered. Must be >= 1.
-  size_t max_buffered_chunks = 4;
 };
 
 /// \brief One contiguous block of answers: values[i] is the answer to
@@ -90,11 +76,10 @@ struct StreamHeader {
   size_t total_answers = 0;
 };
 
-/// \brief Outcome of a Next()/TryNext() call that did not fail.
+/// \brief Outcome of a Next() call that did not fail.
 enum class StreamNext {
-  kChunk,    ///< *out holds the next chunk
-  kPending,  ///< nothing buffered yet (TryNext on a channel stream)
-  kDone,     ///< all chunks delivered; the stream is complete
+  kChunk,  ///< *out holds the next chunk
+  kDone,   ///< all chunks delivered; the stream is complete
 };
 
 /// \brief Resumable producer state: emits the answer vector strictly
@@ -111,131 +96,60 @@ class ChunkCursor {
   virtual size_t total_answers() const = 0;
 };
 
-/// \brief Consumer handle over a bounded chunk channel. Thread-safe:
-/// any number of threads may call Next/TryNext/Cancel concurrently
-/// (chunks are handed out exactly once, in order).
+/// \brief Consumer handle over an admitted request's answers.
+/// Thread-safe: any number of threads may call Next/Cancel
+/// concurrently (chunks are handed out exactly once, in order).
 class ResultStream {
  public:
   ResultStream(const ResultStream&) = delete;
   ResultStream& operator=(const ResultStream&) = delete;
 
-  /// Blocks until a chunk, the end, or a terminal error. On an inline
-  /// stream this computes the chunk on the calling thread.
+  /// Computes the next chunk on the calling thread, or reports the
+  /// terminal state (kDone, or the sticky kCancelled error).
   Result<StreamNext> Next(StreamChunk* out);
 
-  /// Never blocks on a channel stream: kPending when the producer has
-  /// not caught up. On an inline stream production *is* the call, so
-  /// TryNext behaves like Next and never returns kPending.
-  Result<StreamNext> TryNext(StreamChunk* out);
-
-  /// Abandons the stream: buffered chunks are dropped, the producer is
-  /// released at its next emit (or immediately if parked), and every
-  /// later Next() returns kCancelled. The admission's ε charge is
-  /// kept — privacy was spent when the noise was drawn at admission,
-  /// and the released chunks were already observable. Idempotent; a
-  /// Cancel after completion is a no-op.
+  /// Abandons the stream: every later Next() returns kCancelled (and
+  /// frees the cursor; a chunk a concurrent Next was computing is
+  /// dropped). The admission's ε charge is kept — privacy was spent
+  /// when the noise was drawn at admission, and the released chunks
+  /// were already observable. Idempotent; a Cancel after completion
+  /// is a no-op.
   void Cancel();
 
-  /// Admission metadata; blocks until the admission resolves (a sync
-  /// stream is admitted before the handle exists; an async stream
-  /// resolves when a worker picks the task up). An admission failure
-  /// (bad request, exhausted budget, shutdown) is returned here and as
-  /// the stream's terminal status.
-  Result<StreamHeader> header() const;
+  /// Admission metadata, fixed when the handle was made; never blocks
+  /// and never fails (admission failures are returned by SubmitStream
+  /// instead of a handle).
+  Result<StreamHeader> header() const { return header_; }
 
-  /// True once the terminal state is reached (chunks may still be
-  /// buffered for draining).
+  /// True once the terminal state is reached.
   bool finished() const;
 
-  /// Chunks currently buffered (channel mode; 0 for inline streams).
-  size_t buffered() const;
-
   /// High-water mark of chunk payload bytes resident in the stream:
-  /// the buffered chunks (channel mode), or — for inline streams,
-  /// which never buffer — the largest chunk produced. The
+  /// the largest chunk produced (chunks are never buffered). The
   /// stream-vs-materialize bench reports this against the full answer
   /// vector's footprint.
   size_t peak_resident_bytes() const;
 
  private:
   friend class QueryEngine;
-  friend class AsyncQueryEngine;
 
-  /// Producer-side outcome of TryPush.
-  enum class Push {
-    kOk,      ///< chunk accepted
-    kFull,    ///< buffer at capacity — install a hook and park
-    kClosed,  ///< stream cancelled/terminal — drop the cursor, stop
-  };
+  /// Admission already happened; Next() drives `cursor`.
+  ResultStream(std::unique_ptr<ChunkCursor> cursor, StreamHeader header);
 
-  ResultStream() = default;
-
-  /// Sync factory: admission already happened; Next() drives `cursor`
-  /// on the consumer thread.
-  static std::shared_ptr<ResultStream> MakeInline(
-      std::unique_ptr<ChunkCursor> cursor, StreamHeader header);
-
-  /// Async factory: a worker will admit and produce; consumers block
-  /// on header()/Next() until then.
-  static std::shared_ptr<ResultStream> MakeChannel(size_t max_buffered);
-
-  /// Publishes the admission outcome (exactly once).
-  void ResolveHeader(Result<StreamHeader> header);
-
-  /// Refusal before any production (queue full, shutdown, admission
-  /// failure): resolves the header and the terminal status together.
-  void Abort(Status status);
-
-  /// Channel producers: moves *chunk into the buffer on kOk; leaves it
-  /// untouched on kFull/kClosed.
-  Push TryPush(StreamChunk* chunk);
-
-  /// Arms the one-shot space hook. Returns false — without storing the
-  /// hook — when space is already available or the stream is terminal,
-  /// in which case the caller should retry TryPush instead of parking.
-  /// The hook fires (exactly once, outside the stream lock) on the
-  /// next consumer pop, Cancel, or Close.
-  bool InstallSpaceHook(std::function<void()> hook);
-
-  /// Terminal transition; OK() = graceful end-of-stream (buffered
-  /// chunks still drain), error = sticky failure. First caller wins
-  /// (a later Close after Cancel is a no-op).
-  void Close(Status terminal);
-
-  /// Producers poll this between chunks to stop early.
-  bool cancelled() const;
-
-  Result<StreamNext> ProduceInline(StreamChunk* out);
-  /// Pops under `lock` held (which must wrap mu_); unlocks through the
-  /// pointer, then fires the space hook outside the lock. The
-  /// pointer-mediated unlock is invisible to the thread-safety
-  /// analysis, hence the opt-out; callers hold mu_ on entry and must
-  /// not touch guarded members after the call returns.
-  Result<StreamNext> PopLocked(StreamChunk* out,
-                               std::unique_lock<std::mutex>* lock)
-      NO_THREAD_SAFETY_ANALYSIS;
-  /// Terminal report under lock: terminal error, or kDone.
+  /// Terminal report: the sticky error, or kDone.
   Result<StreamNext> TerminalLocked() const REQUIRES(mu_);
 
+  const StreamHeader header_;
+
   mutable std::mutex mu_;
-  mutable std::condition_variable data_cv_;    ///< consumers wait here
-  mutable std::condition_variable header_cv_;  ///< header() waits here
-  std::deque<StreamChunk> buffer_ GUARDED_BY(mu_);
-  /// 0 = inline mode (never buffers). Written only by the factories
-  /// (pre-publication, still under mu_ so the write is checkable).
-  size_t capacity_ GUARDED_BY(mu_) = 0;
-  std::optional<Result<StreamHeader>> header_ GUARDED_BY(mu_);
   bool closed_ GUARDED_BY(mu_) = false;
-  bool cancel_requested_ GUARDED_BY(mu_) = false;
   Status terminal_ GUARDED_BY(mu_) = Status::OK();
-  std::function<void()> space_hook_ GUARDED_BY(mu_);
-  size_t resident_bytes_ GUARDED_BY(mu_) = 0;
   size_t peak_resident_bytes_ GUARDED_BY(mu_) = 0;
 
-  /// Inline mode: serializes cursor runs across concurrent consumers;
-  /// the cursor is only touched under this mutex.
+  /// Serializes cursor runs across concurrent consumers, so Cancel()
+  /// (which takes only mu_) never waits for a chunk's computation.
   std::mutex produce_mu_;
-  std::unique_ptr<ChunkCursor> inline_cursor_ GUARDED_BY(produce_mu_);
+  std::unique_ptr<ChunkCursor> cursor_ GUARDED_BY(produce_mu_);
 };
 
 }  // namespace blowfish

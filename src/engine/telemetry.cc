@@ -519,9 +519,6 @@ const char* TraceStageName(TraceStage stage) {
     case TraceStage::kPlan: return "plan";
     case TraceStage::kCharge: return "charge";
     case TraceStage::kRelease: return "release";
-    case TraceStage::kQueueWait: return "queue_wait";
-    case TraceStage::kColdCoalesceWait: return "cold_coalesce_wait";
-    case TraceStage::kStreamPark: return "stream_park";
     case TraceStage::kCount: break;
   }
   return "?";
@@ -649,28 +646,6 @@ JsonlReplayReport ReplayJsonl(std::string_view jsonl) {
 
 // ---------------------------------------------------- flight recorder
 
-namespace {
-thread_local FlightLane g_flight_lane = FlightLane::kSync;
-}  // namespace
-
-const char* FlightLaneName(FlightLane lane) {
-  switch (lane) {
-    case FlightLane::kSync: return "sync";
-    case FlightLane::kAsyncWarm: return "async_warm";
-    case FlightLane::kAsyncCold: return "async_cold";
-    case FlightLane::kAsyncStream: return "async_stream";
-  }
-  return "?";
-}
-
-FlightLane CurrentFlightLane() { return g_flight_lane; }
-
-FlightLaneScope::FlightLaneScope(FlightLane lane) : prev_(g_flight_lane) {
-  g_flight_lane = lane;
-}
-
-FlightLaneScope::~FlightLaneScope() { g_flight_lane = prev_; }
-
 const char* FlightOutcomeName(FlightOutcome outcome) {
   switch (outcome) {
     case FlightOutcome::kOk: return "ok";
@@ -786,9 +761,7 @@ void FlightRecorder::AppendJsonl(const FlightRecord& record,
   AppendJsonString(record.tenant, out);
   out->append(",\"policy\":");
   AppendJsonString(record.policy, out);
-  out->append(",\"lane\":\"");
-  out->append(FlightLaneName(record.lane));
-  out->append("\",\"outcome\":\"");
+  out->append(",\"outcome\":\"");
   out->append(FlightOutcomeName(record.outcome));
   out->append("\",\"eps\":");
   AppendDouble(record.epsilon, out);

@@ -3,29 +3,26 @@
 //
 // The paper's subject is *accounting* — policy-aware ε spent per
 // release — and before this layer the engine could only report it
-// through ad-hoc per-component stats (AsyncStats, plan_cache_stats(),
+// through ad-hoc per-component stats (plan_cache_stats(),
 // transform_cache_stats()) with no record of which tenant spent which
 // budget when, or where a request's latency went. Three pieces fix
 // that:
 //
 //   MetricsRegistry    named counters / gauges / log2-bucket latency
-//                      histograms (the digest async_engine.cc used to
-//                      hand-roll, generalized). Registration takes a
-//                      mutex once at setup; every update after that is
-//                      a relaxed atomic op — hot paths hold raw metric
-//                      pointers and never lock or allocate. Snapshots
-//                      export as JSON or Prometheus text exposition.
+//                      histograms. Registration takes a mutex once at
+//                      setup; every update after that is a relaxed
+//                      atomic op — hot paths hold raw metric pointers
+//                      and never lock or allocate. Snapshots export as
+//                      JSON or Prometheus text exposition.
 //
 //   RequestTrace       a sampled per-request stage span. The engine
 //                      decides at submit time (one counter increment;
 //                      EngineOptions::trace_sample_rate = 0 is a
 //                      single load and costs nothing) and, when
 //                      sampled, stamps each admission stage
-//                      (validate → resolve → plan → charge → release)
-//                      plus the async pipeline's waits (queue wait,
-//                      cold-coalesce wait, stream park). Finished
-//                      traces feed per-stage histograms and a bounded
-//                      ring of recent structured traces.
+//                      (validate → resolve → plan → charge → release).
+//                      Finished traces feed per-stage histograms and a
+//                      bounded ring of recent structured traces.
 //
 //   BoundedRing<T>     the one mutex-guarded ring behind every record
 //                      stream: ε-audit events, burn-rate alerts and
@@ -95,7 +92,7 @@ class DoubleCounter {
   std::atomic<double> value_{0.0};
 };
 
-/// \brief Point-in-time level (queue depth, resident bytes).
+/// \brief Point-in-time level (resident bytes, live entries).
 class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
@@ -116,9 +113,8 @@ struct HistogramSnapshot {
   double max_ms = 0.0;
 };
 
-/// \brief Lock-free log2-microsecond latency histogram — the digest
-/// the async lanes hand-rolled before PR 6, generalized and shared:
-/// values are milliseconds, bucket i holds microsecond values of bit
+/// \brief Lock-free log2-microsecond latency histogram: values are
+/// milliseconds, bucket i holds microsecond values of bit
 /// width i (upper bound 2^i µs). TSan-clean: buckets are atomics,
 /// recorded without any lock.
 class LatencyHistogram {
@@ -315,7 +311,7 @@ class MetricsRegistry {
   LatencyHistogram* histogram(const std::string& name,
                               std::string_view help = {});
   /// A gauge whose value is computed at snapshot time (plan-cache
-  /// stats, queue depths — levels a component already tracks under
+  /// stats, journal segments — levels a component already tracks under
   /// its own lock). `fn` runs on the snapshotting thread and may take
   /// that component's locks; it must not call back into the registry.
   void gauge_callback(const std::string& name, std::function<double()> fn,
@@ -380,19 +376,14 @@ class MetricsRegistry {
 
 // ------------------------------------------------------------ tracing
 
-/// \brief The stages a sampled request is timed through. The first
-/// five are Submit's admission + release pipeline; the rest are the
-/// async pipeline's waits, stamped by the worker that carries the
-/// task.
+/// \brief The stages a sampled request is timed through: Submit's
+/// admission + release pipeline.
 enum class TraceStage : size_t {
-  kValidate = 0,       ///< shape validation (no allocation, no locks)
-  kResolve,            ///< session + policy resolution, domain check
-  kPlan,               ///< get-or-plan (cold: the planner runs here)
-  kCharge,             ///< atomic two-ledger ε charge
-  kRelease,            ///< noise draw + workload answering
-  kQueueWait,          ///< async: submission to first worker pop
-  kColdCoalesceWait,   ///< async: parked behind a same-key cold leader
-  kStreamPark,         ///< async stream: producer parked on a full buffer
+  kValidate = 0,  ///< shape validation (no allocation, no locks)
+  kResolve,       ///< session + policy resolution, domain check
+  kPlan,          ///< get-or-plan (cold: the planner runs here)
+  kCharge,        ///< atomic two-ledger ε charge
+  kRelease,       ///< noise draw + workload answering
   kCount,
 };
 constexpr size_t kTraceStageCount = static_cast<size_t>(TraceStage::kCount);
@@ -412,8 +403,7 @@ class EngineTelemetry;
 
 /// \brief Sampled per-request stage span. Inactive spans (the
 /// trace_sample_rate = 0 hot path) are a null pointer and two loads —
-/// no clocks, no allocation. Movable; stack-carried through Submit or
-/// moved into an async Task.
+/// no clocks, no allocation. Movable; stack-carried through Submit.
 class RequestTrace {
  public:
   RequestTrace() { Reset(); }
@@ -433,8 +423,7 @@ class RequestTrace {
   bool active() const { return owner_ != nullptr; }
   uint64_t trace_id() const { return trace_id_; }
 
-  /// Accumulates `ms` into the stage (a re-enqueued task may wait in
-  /// the queue more than once).
+  /// Accumulates `ms` into the stage.
   void Record(TraceStage stage, double ms) {
     if (owner_ == nullptr) return;
     double& slot = stage_ms_[static_cast<size_t>(stage)];
@@ -537,35 +526,6 @@ struct JsonlReplayReport {
 
 // ---------------------------------------------------- flight recorder
 
-/// \brief Which execution lane carried a request — stamped into flight
-/// records so an incident dump shows where the traffic ran.
-enum class FlightLane : uint8_t {
-  kSync = 0,      ///< caller-thread Submit / SubmitBatch / SubmitStream
-  kAsyncWarm,     ///< async warm lane worker
-  kAsyncCold,     ///< async cold lane (single-flight leader)
-  kAsyncStream,   ///< async stream producer
-};
-const char* FlightLaneName(FlightLane lane);
-
-/// The calling thread's current lane (kSync unless inside a
-/// FlightLaneScope — async workers set one around request execution).
-FlightLane CurrentFlightLane();
-
-/// \brief RAII thread-local lane marker. The async pipeline executes
-/// requests through the same QueryEngine::Submit the sync path uses;
-/// workers wrap execution in a scope so flight records carry the lane
-/// without threading a parameter through every call.
-class FlightLaneScope {
- public:
-  explicit FlightLaneScope(FlightLane lane);
-  ~FlightLaneScope();
-  FlightLaneScope(const FlightLaneScope&) = delete;
-  FlightLaneScope& operator=(const FlightLaneScope&) = delete;
-
- private:
-  FlightLane prev_;
-};
-
 /// \brief How a flight-recorded request ended.
 enum class FlightOutcome : uint8_t {
   kOk = 0,
@@ -584,7 +544,6 @@ struct FlightRecord {
   uint32_t admit_us = 0;   ///< admission (validate→charge) micros
   uint32_t total_us = 0;   ///< end-to-end micros (0 when unknown)
   FlightOutcome outcome = FlightOutcome::kOk;
-  FlightLane lane = FlightLane::kSync;
   char tenant[23] = {0};   ///< NUL-terminated, truncated
   char policy[23] = {0};   ///< NUL-terminated, truncated
 
@@ -784,9 +743,7 @@ class BoundedRing {
 
 /// \brief Per-engine bundle: the registry, the audit and burn-alert
 /// rings, the flight recorder, the trace sampler, and the ring of
-/// completed traces. Owned by QueryEngine; AsyncQueryEngine registers
-/// its lane metrics into the same registry so one snapshot covers the
-/// whole pipeline.
+/// completed traces. Owned by QueryEngine.
 class EngineTelemetry {
  public:
   static constexpr size_t kTraceRingCapacity = 256;
@@ -818,9 +775,7 @@ class EngineTelemetry {
   void FinishTrace(RequestTrace* trace, bool ok);
 
   /// The per-stage histogram (registered as
-  /// `engine_stage_<name>_ms`) — async components record waits into
-  /// these directly for *every* request, sampled or not, since the
-  /// timestamps already exist on their paths.
+  /// `engine_stage_<name>_ms`), fed by finished sampled traces.
   LatencyHistogram* stage_histogram(TraceStage stage) {
     return stage_hist_[static_cast<size_t>(stage)];
   }

@@ -1,6 +1,7 @@
 // Concurrency smoke tests: many threads submitting against one
 // QueryEngine must never corrupt accounting (budgets conserve exactly,
-// refusals are clean kOutOfRange) and must share cached plans.
+// refusals are clean kOutOfRange), must share cached plans, and a cold
+// plan on one thread must never stall warm submits on another.
 
 #include <gtest/gtest.h>
 
@@ -248,6 +249,58 @@ TEST(EngineConcurrency, ColdHerdPlansOnce) {
                               << " times";
   EXPECT_EQ(stats.hits, kThreads - 1);
   EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(EngineConcurrency, ColdPlanDoesNotBlockWarmSubmits) {
+  // A ~100ms spanner certification (and two same-key followers) runs
+  // on threads of its own while this thread keeps submitting against
+  // an already-warm policy. Warm submits read their ready slot with
+  // one atomic load, so they keep completing while the plan is in
+  // flight; the followers wait on the leader's slot and plan nothing.
+  constexpr size_t kColdSubmitters = 3;
+  constexpr size_t kMinWarmDuringCold = 100;
+  QueryEngine engine;
+  ASSERT_TRUE(engine
+                  .RegisterPolicy("slow", Theta1DPolicy(4096, 4), Ramp(4096),
+                                  1e6)
+                  .ok());
+  ASSERT_TRUE(
+      engine.RegisterPolicy("fast", LinePolicy(64), Ramp(64), 1e6).ok());
+  ASSERT_TRUE(engine.OpenSession("s", 1e6).ok());
+  QueryRequest warm;
+  warm.session = "s";
+  warm.policy = "fast";
+  warm.workload = IdentityWorkload(64);
+  warm.epsilon = 0.001;
+  ASSERT_TRUE(engine.Submit(warm).ok());
+  ASSERT_TRUE(engine.IsWarm(warm));
+  QueryRequest cold = warm;
+  cold.policy = "slow";
+  cold.workload = IdentityWorkload(4096);
+  ASSERT_FALSE(engine.IsWarm(cold));
+  const uint64_t misses_before = engine.plan_cache_stats().misses;
+
+  std::atomic<size_t> cold_finished{0};
+  std::atomic<size_t> cold_failures{0};
+  std::vector<std::thread> cold_threads;
+  for (size_t i = 0; i < kColdSubmitters; ++i) {
+    cold_threads.emplace_back([&] {
+      if (!engine.Submit(cold).ok()) cold_failures.fetch_add(1);
+      cold_finished.fetch_add(1);
+    });
+  }
+  size_t warm_during_cold = 0;
+  while (cold_finished.load() < kColdSubmitters) {
+    ASSERT_TRUE(engine.Submit(warm).ok());
+    if (cold_finished.load() == 0) ++warm_during_cold;
+  }
+  for (std::thread& thread : cold_threads) thread.join();
+
+  EXPECT_EQ(cold_failures.load(), 0u);
+  EXPECT_GE(warm_during_cold, kMinWarmDuringCold)
+      << "warm submits stalled behind another policy's cold plan";
+  EXPECT_EQ(engine.plan_cache_stats().misses - misses_before, 1u);
+  EXPECT_TRUE(engine.IsWarm(cold));
 }
 
 TEST(EngineConcurrency, FailedPlanIsNotCached) {

@@ -2,21 +2,17 @@
 // chunks, concatenated, are bit-identical to the materialized Submit
 // answer for the same engine state and seed (the chunks are pure
 // post-processing of the same noisy releases); exactly one ε charge
-// happens per stream, at admission; Cancel() frees the producer but
-// keeps the charge; and the terminal status resolves exactly once —
-// including under mid-stream cancellation, flow-control parking, and
-// engine destruction with a live stream. Runs under TSan in CI with
-// the other engine_* suites.
+// happens per stream, at admission; Cancel() keeps the charge and is
+// sticky; a stream outlives its engine; and concurrent consumers take
+// each chunk exactly once. Runs under TSan in CI with the other
+// engine_* suites.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "engine/async_engine.h"
 #include "engine/query_engine.h"
 #include "workload/builders.h"
 
@@ -45,11 +41,6 @@ Vector Collect(ResultStream* stream, Status* terminal,
     }
     if (*next == StreamNext::kDone) {
       *terminal = Status::OK();
-      break;
-    }
-    if (*next != StreamNext::kChunk) {
-      ADD_FAILURE() << "blocking Next returned pending";
-      *terminal = Status::Internal("pending from blocking Next");
       break;
     }
     EXPECT_EQ(chunk.offset, all.size()) << "chunks must be contiguous";
@@ -185,51 +176,6 @@ TEST(StreamDeterminism, SummedAreaRangePathMatchesSubmit) {
   ExpectBitIdentical(concat, full.answers);
 }
 
-TEST(StreamDeterminism, AsyncSingleWorkerMatchesSequentialSubmit) {
-  const size_t k = 16;
-  QueryRequest request;
-  request.session = "s";
-  request.policy = "slab";
-  request.ranges = SomeRanges(k, 25);
-  request.epsilon = 0.5;
-
-  QueryEngine reference(EngineOptions{/*seed=*/44, false});
-  reference
-      .RegisterPolicy("slab", GridPolicy(DomainShape({k, k}), 4), Ramp(k * k),
-                      100.0)
-      .Check();
-  reference.OpenSession("s", 100.0).Check();
-  const QueryResult full = reference.Submit(request).ValueOrDie();
-
-  EngineOptions options;
-  options.seed = 44;
-  options.async_workers = 1;
-  AsyncQueryEngine async(options);
-  async.engine()
-      .RegisterPolicy("slab", GridPolicy(DomainShape({k, k}), 4), Ramp(k * k),
-                      100.0)
-      .Check();
-  async.engine().OpenSession("s", 100.0).Check();
-  StreamOptions stream_options;
-  stream_options.chunk_queries = 6;
-  stream_options.max_buffered_chunks = 2;
-  const std::shared_ptr<ResultStream> stream =
-      async.SubmitStreamAsync(request, stream_options);
-  EXPECT_TRUE(stream->header().ok());  // blocks until the worker admits
-  Status terminal = Status::Internal("unset");
-  const Vector concat = Collect(stream.get(), &terminal);
-  EXPECT_TRUE(terminal.ok());
-  ExpectBitIdentical(concat, full.answers);
-
-  const AsyncStats stats = async.stats();
-  EXPECT_EQ(stats.stream.accepted, 1u);
-  EXPECT_EQ(stats.stream.completed, 1u);
-  EXPECT_EQ(stats.stream.chunks_emitted, (25u + 5) / 6);
-  // One ε charge, same as the sequential engine.
-  EXPECT_EQ(*async.engine().SessionRemaining("s"),
-            *reference.SessionRemaining("s"));
-}
-
 // ---------------------------------------------------------------------
 // Lifecycle: cancellation, charges, terminal exactly-once.
 
@@ -285,240 +231,122 @@ TEST(StreamLifecycle, AdmissionFailureArrivesAsTerminalStatus) {
   EXPECT_NEAR(*engine.PolicyRemaining("line"), 0.5, 1e-12);
 }
 
-TEST(StreamLifecycle, AsyncAdmissionFailureResolvesHeaderAndTerminal) {
-  EngineOptions options;
-  options.seed = 47;
-  options.async_workers = 1;
-  AsyncQueryEngine async(options);
-  async.engine().RegisterPolicy("line", LinePolicy(16), Ramp(16), 0.5).Check();
-  async.engine().OpenSession("s", 10.0).Check();
+TEST(StreamLifecycle, StreamOutlivesItsEngine) {
+  // The cursor holds the policy snapshot and the drawn releases, not
+  // the engine: a stream keeps delivering after its engine is gone,
+  // and the chunks still match a same-seed Submit bit for bit.
+  const size_t k = 16;
   QueryRequest request;
   request.session = "s";
-  request.policy = "line";
-  request.workload = IdentityWorkload(16);
-  request.epsilon = 1.0;  // exceeds the policy cap
-  const std::shared_ptr<ResultStream> stream =
-      async.SubmitStreamAsync(request);
-  const Result<StreamHeader> header = stream->header();
-  ASSERT_FALSE(header.ok());
-  EXPECT_EQ(header.status().code(), StatusCode::kOutOfRange);
-  StreamChunk chunk;
-  const Result<StreamNext> next = stream->Next(&chunk);
-  ASSERT_FALSE(next.ok());
-  EXPECT_EQ(next.status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(async.stats().stream.failed, 1u);
-}
-
-TEST(StreamLifecycle, CancelBeforeAdmissionAvoidsTheCharge) {
-  EngineOptions options;
-  options.seed = 48;
-  options.async_workers = 1;
-  AsyncQueryEngine async(options);
-  async.engine().RegisterPolicy("line", LinePolicy(16), Ramp(16), 10.0).Check();
-  async.engine().OpenSession("s", 10.0).Check();
-  QueryRequest request;
-  request.session = "s";
-  request.policy = "line";
-  request.workload = IdentityWorkload(16);
-  request.epsilon = 1.0;
-
-  async.Pause();  // hold the task in the queue
-  const std::shared_ptr<ResultStream> stream = async.SubmitStreamAsync(request);
-  stream->Cancel();
-  // header() must resolve from the Cancel itself — no worker has (or
-  // ever needs to have) touched the task; waiting here with the
-  // pipeline still paused must not hang.
-  const Result<StreamHeader> header = stream->header();
-  ASSERT_FALSE(header.ok());
-  EXPECT_EQ(header.status().code(), StatusCode::kCancelled);
-  async.Resume();
-  async.Drain();
-  // Nothing was released, so nothing was paid for.
-  EXPECT_NEAR(*async.engine().SessionRemaining("s"), 10.0, 1e-12);
-}
-
-TEST(StreamLifecycle, MidStreamCancelFreesTheProducerSlot) {
-  EngineOptions options;
-  options.seed = 49;
-  options.async_workers = 1;  // a stuck producer would deadlock this
-  AsyncQueryEngine async(options);
-  async.engine().RegisterPolicy("line", LinePolicy(64), Ramp(64), 1e6).Check();
-  async.engine().OpenSession("s", 1e6).Check();
-  QueryRequest request;
-  request.session = "s";
-  request.policy = "line";
-  request.workload = IdentityWorkload(64);
-  request.epsilon = 0.1;
-
-  StreamOptions stream_options;
-  stream_options.chunk_queries = 1;
-  stream_options.max_buffered_chunks = 1;  // parks after the first chunk
-  const std::shared_ptr<ResultStream> stream =
-      async.SubmitStreamAsync(request, stream_options);
-  StreamChunk chunk;
-  ASSERT_EQ(*stream->Next(&chunk), StreamNext::kChunk);
-  stream->Cancel();
-  // The sole worker must come back: a plain submit still completes.
-  EXPECT_TRUE(async.SubmitAsync(request).get().ok());
-  async.Drain();
-  const AsyncStats stats = async.stats();
-  EXPECT_EQ(stats.stream.cancelled, 1u);
-  EXPECT_EQ(stats.stream.parked_now, 0u);
-}
-
-TEST(StreamLifecycle, DestructionWithLiveStreamResolvesCancelledExactlyOnce) {
-  std::shared_ptr<ResultStream> stream;
-  AsyncStats stats;
-  {
-    EngineOptions options;
-    options.seed = 50;
-    options.async_workers = 2;
-    AsyncQueryEngine async(options);
-    async.engine()
-        .RegisterPolicy("line", LinePolicy(128), Ramp(128), 1e6)
+  request.policy = "slab";
+  request.ranges = SomeRanges(k, 29);
+  request.epsilon = 0.5;
+  const auto make_engine = [&] {
+    auto engine =
+        std::make_unique<QueryEngine>(EngineOptions{/*seed=*/50, false});
+    engine
+        ->RegisterPolicy("slab", GridPolicy(DomainShape({k, k}), 4),
+                         Ramp(k * k), 100.0)
         .Check();
-    async.engine().OpenSession("s", 1e6).Check();
-    QueryRequest request;
-    request.session = "s";
-    request.policy = "line";
-    request.workload = IdentityWorkload(128);
-    request.epsilon = 0.1;
-    StreamOptions stream_options;
-    stream_options.chunk_queries = 1;
-    stream_options.max_buffered_chunks = 1;
-    stream = async.SubmitStreamAsync(request, stream_options);
-    // Let the producer reach the parked state (buffer full, worker
-    // back in the pool), then tear the engine down around it.
-    StreamChunk chunk;
-    ASSERT_EQ(*stream->Next(&chunk), StreamNext::kChunk);
-    stats = async.stats();
-  }
-  // The destructor's Shutdown(kCancelPending) swept the parked
-  // producer; the consumer drains whatever was buffered (continuing
-  // past the chunk already taken above), then observes kCancelled
-  // forever after.
-  EXPECT_EQ(stats.stream.accepted, 1u);
-  Status terminal = Status::Internal("unset");
-  size_t next_offset = 1;  // one single-query chunk consumed in scope
-  for (;;) {
-    StreamChunk drained;
-    const Result<StreamNext> next = stream->Next(&drained);
-    if (!next.ok()) {
-      terminal = next.status();
-      break;
-    }
-    ASSERT_NE(*next, StreamNext::kDone) << "cancelled stream ended kDone";
-    EXPECT_EQ(drained.offset, next_offset);
-    next_offset += drained.values.size();
-  }
-  EXPECT_EQ(terminal.code(), StatusCode::kCancelled);
-  StreamChunk chunk;
-  const Result<StreamNext> again = stream->Next(&chunk);
-  ASSERT_FALSE(again.ok());
-  EXPECT_EQ(again.status().code(), StatusCode::kCancelled);
-}
+    engine->OpenSession("s", 100.0).Check();
+    return engine;
+  };
+  const QueryResult full = make_engine()->Submit(request).ValueOrDie();
 
-// ---------------------------------------------------------------------
-// Flow control and backpressure.
-
-TEST(StreamFlowControl, SlowConsumerParksProducerAndLosesNothing) {
-  QueryRequest request;
-  request.session = "s";
-  request.policy = "line";
-  request.workload = IdentityWorkload(96);
-  request.epsilon = 0.1;
-
-  QueryEngine reference(EngineOptions{/*seed=*/51, false});
-  reference.RegisterPolicy("line", LinePolicy(96), Ramp(96), 1e6).Check();
-  reference.OpenSession("s", 1e6).Check();
-  const QueryResult full = reference.Submit(request).ValueOrDie();
-
-  EngineOptions options;
-  options.seed = 51;
-  options.async_workers = 1;
-  AsyncQueryEngine async(options);
-  async.engine().RegisterPolicy("line", LinePolicy(96), Ramp(96), 1e6).Check();
-  async.engine().OpenSession("s", 1e6).Check();
-  StreamOptions stream_options;
-  stream_options.chunk_queries = 8;
-  stream_options.max_buffered_chunks = 1;
-  const std::shared_ptr<ResultStream> stream =
-      async.SubmitStreamAsync(request, stream_options);
-  // Consume deliberately slowly: every pop resumes the parked producer
-  // through the space hook for exactly one more chunk.
+  StreamOptions options;
+  options.chunk_queries = 4;
+  std::shared_ptr<ResultStream> stream;
   Vector concat;
+  {
+    std::unique_ptr<QueryEngine> engine = make_engine();
+    stream = engine->SubmitStream(request, options).ValueOrDie();
+    StreamChunk first;
+    ASSERT_EQ(*stream->Next(&first), StreamNext::kChunk);
+    EXPECT_EQ(first.offset, 0u);
+    concat = first.values;
+  }  // the engine dies with the stream half read
+
   Status terminal = Status::Internal("unset");
+  size_t chunks = 0;
   for (;;) {
     StreamChunk chunk;
-    Result<StreamNext> next = stream->Next(&chunk);
+    const Result<StreamNext> next = stream->Next(&chunk);
     if (!next.ok() || *next == StreamNext::kDone) {
       terminal = next.ok() ? Status::OK() : next.status();
       break;
     }
     EXPECT_EQ(chunk.offset, concat.size());
     concat.insert(concat.end(), chunk.values.begin(), chunk.values.end());
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ++chunks;
   }
-  EXPECT_TRUE(terminal.ok());
+  EXPECT_TRUE(terminal.ok()) << terminal.ToString();
+  EXPECT_EQ(chunks, (29u + 3) / 4 - 1);
   ExpectBitIdentical(concat, full.answers);
-  const AsyncStats stats = async.stats();
-  EXPECT_GE(stats.stream.producer_parks, 1u);
-  EXPECT_EQ(stats.stream.completed, 1u);
-  EXPECT_EQ(stats.stream.chunks_emitted, 96u / 8);
-  // Peak residency stayed at the bounded buffer, far under the full
-  // 96-answer vector.
-  EXPECT_LE(stream->peak_resident_bytes(),
-            (stream_options.max_buffered_chunks + 1) *
-                stream_options.chunk_queries * sizeof(double));
-}
-
-TEST(StreamFlowControl, QueueFullRejectionDeliversUnavailableTerminal) {
-  EngineOptions options;
-  options.seed = 52;
-  options.async_workers = 1;
-  options.async_queue_capacity = 1;
-  AsyncQueryEngine async(options);
-  async.engine().RegisterPolicy("line", LinePolicy(16), Ramp(16), 1e6).Check();
-  async.engine().OpenSession("s", 1e6).Check();
-  QueryRequest request;
-  request.session = "s";
-  request.policy = "line";
-  request.workload = IdentityWorkload(16);
-  request.epsilon = 0.1;
-
-  async.Pause();
-  std::future<Result<QueryResult>> held = async.SubmitAsync(request);
-  const std::shared_ptr<ResultStream> refused =
-      async.SubmitStreamAsync(request);
-  const Result<StreamHeader> header = refused->header();
-  ASSERT_FALSE(header.ok());
-  EXPECT_EQ(header.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(async.stats().stream.rejected, 1u);
-  async.Resume();
-  EXPECT_TRUE(held.get().ok());
-}
-
-TEST(StreamFlowControl, TryNextReportsPendingWhileProducerIsHeld) {
-  EngineOptions options;
-  options.seed = 53;
-  options.async_workers = 1;
-  AsyncQueryEngine async(options);
-  async.engine().RegisterPolicy("line", LinePolicy(16), Ramp(16), 1e6).Check();
-  async.engine().OpenSession("s", 1e6).Check();
-  QueryRequest request;
-  request.session = "s";
-  request.policy = "line";
-  request.workload = IdentityWorkload(16);
-  request.epsilon = 0.1;
-
-  async.Pause();
-  const std::shared_ptr<ResultStream> stream = async.SubmitStreamAsync(request);
+  // Chunks are never buffered: one chunk is the most ever resident.
+  EXPECT_EQ(stream->peak_resident_bytes(),
+            options.chunk_queries * sizeof(double));
+  // kDone is sticky, and a Cancel after completion does not change it.
+  stream->Cancel();
   StreamChunk chunk;
-  EXPECT_EQ(*stream->TryNext(&chunk), StreamNext::kPending);
-  async.Resume();
-  Status terminal = Status::Internal("unset");
-  Collect(stream.get(), &terminal);
-  EXPECT_TRUE(terminal.ok());
+  EXPECT_EQ(*stream->Next(&chunk), StreamNext::kDone);
+}
+
+TEST(StreamLifecycle, ConcurrentConsumersTakeEachChunkOnce) {
+  // Several threads drain one stream: every chunk goes to exactly one
+  // of them, and the chunks, put back in offset order, are the
+  // materialized answer vector.
+  constexpr size_t kDomain = 96;
+  constexpr size_t kConsumers = 4;
+  QueryRequest request;
+  request.session = "s";
+  request.policy = "line";
+  request.workload = IdentityWorkload(kDomain);
+  request.epsilon = 0.1;
+  const auto make_engine = [&] {
+    auto engine =
+        std::make_unique<QueryEngine>(EngineOptions{/*seed=*/51, false});
+    engine->RegisterPolicy("line", LinePolicy(kDomain), Ramp(kDomain), 1e6)
+        .Check();
+    engine->OpenSession("s", 1e6).Check();
+    return engine;
+  };
+  const QueryResult full = make_engine()->Submit(request).ValueOrDie();
+
+  auto engine = make_engine();
+  StreamOptions options;
+  options.chunk_queries = 3;
+  const std::shared_ptr<ResultStream> stream =
+      engine->SubmitStream(request, options).ValueOrDie();
+  std::vector<std::vector<StreamChunk>> taken(kConsumers);
+  std::vector<std::thread> consumers;
+  for (size_t t = 0; t < kConsumers; ++t) {
+    consumers.emplace_back([&, t] {
+      for (;;) {
+        StreamChunk chunk;
+        const Result<StreamNext> next = stream->Next(&chunk);
+        if (!next.ok() || *next == StreamNext::kDone) return;
+        taken[t].push_back(std::move(chunk));
+      }
+    });
+  }
+  for (std::thread& consumer : consumers) consumer.join();
+
+  Vector concat(kDomain, 0.0);
+  std::vector<int> seen(kDomain, 0);
+  for (const std::vector<StreamChunk>& chunks : taken) {
+    for (const StreamChunk& chunk : chunks) {
+      for (size_t i = 0; i < chunk.values.size(); ++i) {
+        ASSERT_LT(chunk.offset + i, kDomain);
+        concat[chunk.offset + i] = chunk.values[i];
+        ++seen[chunk.offset + i];
+      }
+    }
+  }
+  for (size_t i = 0; i < kDomain; ++i) {
+    EXPECT_EQ(seen[i], 1) << "answer " << i;
+  }
+  ExpectBitIdentical(concat, full.answers);
+  EXPECT_TRUE(stream->finished());
 }
 
 }  // namespace

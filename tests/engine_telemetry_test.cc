@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "engine/async_engine.h"
+#include "engine/query_engine.h"
 #include "engine/telemetry.h"
 #include "workload/builders.h"
 
@@ -446,9 +446,6 @@ TEST(EngineTelemetry, RateOneTracesEverySubmitThroughAllStages) {
       EXPECT_GE(trace.stage_ms[static_cast<size_t>(stage)], 0.0)
           << TraceStageName(stage);
     }
-    // Async-only stages never ran on the synchronous path.
-    EXPECT_LT(trace.stage_ms[static_cast<size_t>(TraceStage::kQueueWait)],
-              0.0);
   }
   EXPECT_EQ(static_cast<uint64_t>(kSubmits),
             telemetry.stage_histogram(TraceStage::kValidate)->count());
@@ -459,58 +456,56 @@ TEST(EngineTelemetry, RateOneTracesEverySubmitThroughAllStages) {
   EXPECT_NE(std::string::npos, jsonl.find("\"ok\":true"));
 }
 
-// ---- async pipeline coverage (also exercised under TSan in CI) -----
+// ---- concurrent callers (also exercised under TSan in CI) ---------
 
-TEST(EngineTelemetry, AsyncPipelineFeedsRegistryAndTraces) {
+TEST(EngineTelemetry, ConcurrentCallersFeedRegistryAndTraces) {
+  // Callers bring their own threads: three threads submit while one
+  // stream is admitted, all sampled. Every request lands one complete
+  // trace in the ring and one count in the registry.
+  constexpr size_t kThreads = 3;
+  constexpr size_t kSubmitsPerThread = 16;
   EngineOptions options;
   options.seed = 5;
   options.trace_sample_rate = 1.0;
-  options.async_workers = 3;
-  AsyncQueryEngine async(options);
-  QueryEngine& engine = async.engine();
+  QueryEngine engine(options);
   ASSERT_TRUE(
       engine.RegisterPolicy("line", LinePolicy(16), Ramp(16), 100.0).ok());
   ASSERT_TRUE(engine.OpenSession("s", 10.0).ok());
 
-  constexpr int kAsyncSubmits = 16;
-  std::vector<std::future<Result<QueryResult>>> futures;
-  for (int i = 0; i < kAsyncSubmits; ++i) {
-    futures.push_back(async.SubmitAsync(MakeRequest("s", "line", 0.01)));
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&] {
+      for (size_t i = 0; i < kSubmitsPerThread; ++i) {
+        if (!engine.Submit(MakeRequest("s", "line", 0.01)).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
   }
-  for (auto& future : futures) ASSERT_TRUE(future.get().ok());
-
   std::shared_ptr<ResultStream> stream =
-      async.SubmitStreamAsync(MakeRequest("s", "line", 0.01));
+      engine.SubmitStream(MakeRequest("s", "line", 0.01)).ValueOrDie();
   StreamChunk chunk;
   while (stream->Next(&chunk).ValueOrDie() != StreamNext::kDone) {
   }
-  async.Drain();
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(failures.load(), 0u);
 
   MetricsRegistry& metrics = engine.telemetry().metrics();
-  const uint64_t warm =
-      metrics.histogram("engine_async_warm_latency_ms")->count();
-  const uint64_t cold =
-      metrics.histogram("engine_async_cold_latency_ms")->count();
-  EXPECT_EQ(static_cast<uint64_t>(kAsyncSubmits), warm + cold);
-  EXPECT_EQ(
-      static_cast<uint64_t>(kAsyncSubmits) + 1,  // +1 for the stream task
-      metrics.histogram("engine_async_queue_wait_warm_ms")->count() +
-          metrics.histogram("engine_async_queue_wait_cold_ms")->count());
-  EXPECT_GE(metrics.counter("engine_stream_chunks_total")->value(), 1u);
+  EXPECT_EQ(metrics.counter("engine_streams_total")->value(), 1u);
+  EXPECT_EQ(metrics.counter("engine_submits_total")->value(),
+            kThreads * kSubmitsPerThread);
 
-  // Every async submit and the stream carried a sampled trace with a
-  // queue-wait stage.
+  // 48 submits + 1 stream, each a complete five-stage trace.
   const std::vector<TraceRecord> traces = engine.telemetry().SnapshotTraces();
-  EXPECT_EQ(static_cast<size_t>(kAsyncSubmits) + 1, traces.size());
+  ASSERT_EQ(kThreads * kSubmitsPerThread + 1, traces.size());
   for (const TraceRecord& trace : traces) {
-    EXPECT_GE(trace.stage_ms[static_cast<size_t>(TraceStage::kQueueWait)],
-              0.0);
+    EXPECT_TRUE(trace.ok);
+    for (size_t stage = 0; stage < kTraceStageCount; ++stage) {
+      EXPECT_GE(trace.stage_ms[stage], 0.0)
+          << TraceStageName(static_cast<TraceStage>(stage));
+    }
   }
-
-  // The legacy stats() API is served from the same histograms.
-  const AsyncStats stats = async.stats();
-  EXPECT_EQ(warm, stats.warm.completed);
-  EXPECT_EQ(cold, stats.cold.completed);
 }
 
 }  // namespace

@@ -46,12 +46,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "engine/async_engine.h"
+#include "engine/query_engine.h"
 #include "engine/snapshot_store.h"
 #include "workload/builders.h"
 
@@ -360,8 +360,7 @@ int main(int argc, char** argv) {
   options.trace_sample_rate = args.sample_rate;
   options.obs_port = args.serve;
   {
-    AsyncQueryEngine async(options);
-    QueryEngine& engine = async.engine();
+    QueryEngine engine(options);
 
     engine.RegisterPolicy("salaries", LinePolicy(16), Ramp(16, 13), 4.0)
         .Check();
@@ -385,7 +384,8 @@ int main(int argc, char** argv) {
     for (auto& entry : batch) entry.epsilon = 0.005;
     for (const auto& outcome : engine.SubmitBatch(batch)) outcome.status().Check();
 
-    // Async lanes: a cold plan (fresh policy) racing warm submits.
+    // A cold plan (fresh policy) on its own thread, racing warm
+    // submits on this one.
     engine
         .RegisterPolicy("roads", Theta1DPolicy(256, 4), Ramp(256, 23), 4.0)
         .Check();
@@ -394,13 +394,13 @@ int main(int argc, char** argv) {
     cold.policy = "roads";
     cold.workload = IdentityWorkload(256);
     cold.epsilon = 0.05;
-    std::future<Result<QueryResult>> cold_future = async.SubmitAsync(cold);
-    std::vector<std::future<Result<QueryResult>>> warm_futures;
-    for (int i = 0; i < 8; ++i) warm_futures.push_back(async.SubmitAsync(request));
-    for (auto& future : warm_futures) future.get().status().Check();
-    cold_future.get().status().Check();
+    Status cold_status;
+    std::thread planner([&] { cold_status = engine.Submit(cold).status(); });
+    for (int i = 0; i < 8; ++i) engine.Submit(request).status().Check();
+    planner.join();
+    cold_status.Check();
 
-    // A chunked stream with a tiny buffer, so the producer parks.
+    // A chunked stream, read on this thread.
     std::vector<RangeQuery> cells;
     for (size_t r = 0; r < 16; ++r)
       for (size_t c = 0; c < 16; ++c) cells.push_back({{r, c}, {r, c}});
@@ -412,9 +412,8 @@ int main(int argc, char** argv) {
     scan.epsilon = 0.05;
     StreamOptions stream_options;
     stream_options.chunk_queries = 32;
-    stream_options.max_buffered_chunks = 2;
     std::shared_ptr<ResultStream> stream =
-        async.SubmitStreamAsync(scan, stream_options);
+        engine.SubmitStream(scan, stream_options).ValueOrDie();
     StreamChunk chunk;
     while (stream->Next(&chunk).ValueOrDie() != StreamNext::kDone) {
     }
@@ -427,8 +426,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: refusal demo unexpectedly admitted\n");
       return 1;
     }
-
-    async.Drain();
 
     const EngineTelemetry& telemetry = engine.telemetry();
     const std::string metrics = args.format == "prom"
@@ -480,7 +477,6 @@ int main(int argc, char** argv) {
       std::printf("obs server: served %" PRIu64 " scrapes, stopping\n",
                   engine.obs_server()->requests_served());
     }
-    async.Shutdown(AsyncQueryEngine::ShutdownMode::kDrain);
   }
   return 0;
 }
