@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark): throughput of the computational
-// kernels underlying the mechanisms — wavelet transforms, isotonic
+// kernels underlying the mechanisms — the Laplace fill kernel every
+// release draws its noise through, wavelet transforms, isotonic
 // regression, the DAWA partition DP, the policy transform, the sparse
 // workload transform, and the θ-grid range mechanism's two layers
 // (noisy slab releases, per-query reconstruction).
@@ -24,6 +25,37 @@ Vector RandomVector(size_t n, uint64_t seed) {
   for (double& x : v) x = rng.Uniform(0, 100);
   return v;
 }
+
+// The noise draw every release family shares: constant-scale fills at
+// a release-sized and a large n, and Privelet's per-coefficient scales.
+// Items are draws, so items_per_second inverts to ns per draw.
+void BM_LaplaceFill(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Vector v(n, 0.0);
+  Rng rng(5);
+  for (auto _ : state) {
+    rng.AddLaplace(v.data(), n, 100.0);
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_LaplaceFill)->Arg(1024)->Arg(65536);
+
+void BM_AddLaplacePerElementScale(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const Vector weights = RandomVector(n, 6);
+  Vector v(n, 0.0);
+  Rng rng(7);
+  for (auto _ : state) {
+    rng.AddLaplace(v.data(), n,
+                   [&](size_t i) { return 1.0 / (0.5 + weights[i]); });
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_AddLaplacePerElementScale)->Arg(4096);
 
 void BM_HaarForwardInverse(benchmark::State& state) {
   Vector v = RandomVector(static_cast<size_t>(state.range(0)), 1);

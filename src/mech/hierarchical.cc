@@ -92,7 +92,7 @@ Vector HierarchicalMechanism::Run(const Vector& x, double epsilon,
   // node-count vector has L1 sensitivity `levels`.
   const double scale = static_cast<double>(levels) / epsilon;
   Vector y = ApplyTree(x, sizes, branching_);
-  for (double& v : y) v += rng->Laplace(scale);
+  rng->AddLaplace(y.data(), y.size(), scale);
 
   // OLS consistency: solve TᵀT z = Tᵀ y with CG.
   const Vector rhs = ApplyTreeTranspose(y, sizes, branching_);

@@ -7,7 +7,7 @@ namespace blowfish {
 Vector AddLaplaceNoise(const Vector& v, double scale, Rng* rng) {
   BF_CHECK(rng != nullptr);
   Vector out = v;
-  for (double& value : out) value += rng->Laplace(scale);
+  rng->AddLaplace(out.data(), out.size(), scale);
   return out;
 }
 

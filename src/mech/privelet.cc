@@ -147,9 +147,9 @@ Vector PriveletMechanism::Run(const Vector& x, double epsilon,
     ForEachLine(&padded, padded_.dims(), axis, HaarForwardInPlace);
   }
   // Generalized Laplace noise: scale sensitivity/(eps * weight).
-  for (size_t i = 0; i < padded.size(); ++i) {
-    padded[i] += rng->Laplace(sensitivity_ / (epsilon * coefficient_weights_[i]));
-  }
+  rng->AddLaplace(padded.data(), padded.size(), [&](size_t i) {
+    return sensitivity_ / (epsilon * coefficient_weights_[i]);
+  });
   // Inverse transform.
   for (size_t axis = 0; axis < padded_.num_dims(); ++axis) {
     ForEachLine(&padded, padded_.dims(), axis, HaarInverseInPlace);

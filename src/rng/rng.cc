@@ -59,12 +59,6 @@ double Rng::ExponentialZigguratSlow(uint64_t word) {
   }
 }
 
-std::vector<double> Rng::LaplaceVector(size_t n, double scale) {
-  std::vector<double> out(n);
-  for (size_t i = 0; i < n; ++i) out[i] = Laplace(scale);
-  return out;
-}
-
 double Rng::Normal(double mean, double stddev) {
   // Marsaglia polar method, one pair per two candidate words; the
   // second variate is discarded to keep the sampler stateless.

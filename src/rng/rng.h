@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/check.h"
@@ -50,6 +51,18 @@ struct ExpZigguratTables {
 
 inline const ExpZigguratTables kExpZig;
 
+/// ±scale for a Laplace draw: bit 8 of the ziggurat word set gives
+/// +scale, clear gives -scale. The bit is XORed into the IEEE sign of
+/// `scale` (which must be positive) rather than branched on: a branch
+/// on a fair coin mispredicts on half of all draws.
+inline double SignedScale(uint64_t word, double scale) {
+  uint64_t bits;
+  std::memcpy(&bits, &scale, sizeof(bits));
+  bits ^= (~word & 0x100u) << 55;
+  std::memcpy(&scale, &bits, sizeof(scale));
+  return scale;
+}
+
 }  // namespace rng_internal
 
 /// \brief Deterministic random source with the samplers needed by
@@ -62,8 +75,16 @@ inline const ExpZigguratTables kExpZig;
 /// its seeding cost on every query), and it passes the usual
 /// statistical batteries. Uniform doubles take the top 53 bits of one
 /// word; Laplace(b) draws ±b·Exponential(1) through the ziggurat
-/// above, falling back to the exact wedge/tail computation on ~1% of
-/// draws.
+/// above, falling back to the exact wedge/tail computation on ~2% of
+/// draws. The sign comes from one word bit XORed into b's sign bit
+/// (SignedScale), never from a branch.
+///
+/// Every Laplace draw, scalar or batched, runs through one fill
+/// kernel (FillLaplace): the release paths call AddLaplace once per
+/// noise vector, which keeps the four state words in registers across
+/// the loop and spills them only around the out-of-line slow path.
+/// The kernel consumes exactly the words of n scalar Laplace() calls
+/// in the same order, so batching never changes an output bit.
 class Rng {
  public:
   /// One 64-bit word of hardware/system entropy, for seeding engines
@@ -94,15 +115,7 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ull; }
   result_type operator()() {
-    const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-    const uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = Rotl(state_[3], 45);
-    return result;
+    return Step(state_[0], state_[1], state_[2], state_[3]);
   }
 
   /// Uniform real in [lo, hi).
@@ -119,19 +132,50 @@ class Rng {
   /// sign, bits 11..63 the 53-bit uniform (all disjoint).
   double Laplace(double scale) {
     BF_CHECK_GT(scale, 0.0);
-    const uint64_t word = (*this)();
-    const double signed_scale = (word & 0x100u) ? scale : -scale;
-    const uint64_t jz = word >> 11;
-    const size_t iz = word & 255u;
-    if (jz < rng_internal::kExpZig.ke[iz]) {
-      return signed_scale *
-             (static_cast<double>(jz) * rng_internal::kExpZig.we[iz]);
-    }
-    return signed_scale * ExponentialZigguratSlow(word);
+    double draw;
+    FillLaplace(
+        1, [scale](size_t) { return scale; },
+        [&draw](size_t, double d) { draw = d; });
+    return draw;
   }
 
-  /// Vector of n iid Laplace(0, scale) draws.
-  std::vector<double> LaplaceVector(size_t n, double scale);
+  /// v[i] += Laplace(scale) for i in [0, n): the same words, order and
+  /// bits as n scalar Laplace() calls.
+  void AddLaplace(double* v, size_t n, double scale) {
+    if (n == 0) return;
+    BF_CHECK_GT(scale, 0.0);
+    FillLaplace(
+        n, [scale](size_t) { return scale; },
+        [v](size_t i, double d) { v[i] += d; });
+  }
+
+  /// v[i] += Laplace(scale_at(i)) for i in [0, n), with scale_at(i)
+  /// evaluated once per draw, in order; a non-positive scale aborts
+  /// as Laplace() does.
+  template <typename ScaleAt>
+  void AddLaplace(double* v, size_t n, ScaleAt scale_at) {
+    FillLaplace(
+        n,
+        [&scale_at](size_t i) {
+          const double scale = scale_at(i);
+          BF_CHECK_GT(scale, 0.0);
+          return scale;
+        },
+        [v](size_t i, double d) { v[i] += d; });
+  }
+
+  /// Vector of n iid Laplace(0, scale) draws, written (not added into
+  /// zeros, so a -0.0 draw stays -0.0).
+  std::vector<double> LaplaceVector(size_t n, double scale) {
+    std::vector<double> out(n);
+    if (n == 0) return out;
+    BF_CHECK_GT(scale, 0.0);
+    double* dst = out.data();
+    FillLaplace(
+        n, [scale](size_t) { return scale; },
+        [dst](size_t i, double d) { dst[i] = d; });
+    return out;
+  }
 
   /// Standard normal draw.
   double Normal(double mean = 0.0, double stddev = 1.0);
@@ -156,7 +200,49 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  /// Wedge/tail/retry continuation of the ziggurat, entered on ~1% of
+  /// One xoshiro256++ step on the state words passed by reference:
+  /// state_ itself from operator(), register copies from FillLaplace.
+  static uint64_t Step(uint64_t& s0, uint64_t& s1, uint64_t& s2,
+                       uint64_t& s3) {
+    const uint64_t result = Rotl(s0 + s3, 23) + s0;
+    const uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = Rotl(s3, 45);
+    return result;
+  }
+
+  /// The Laplace fill kernel: draw i at scale_at(i) (positive, checked
+  /// by the caller) is handed to sink(i, draw), for i in [0, n). The
+  /// state lives in locals for the whole loop; the ~2% of words that
+  /// miss the ziggurat's fast test write it back, let the slow path
+  /// draw its extra words through operator(), and reload it.
+  template <typename ScaleAt, typename Sink>
+  void FillLaplace(size_t n, ScaleAt scale_at, Sink sink) {
+    using rng_internal::kExpZig;
+    uint64_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
+    for (size_t i = 0; i < n; ++i) {
+      const double scale = scale_at(i);
+      const uint64_t word = Step(s0, s1, s2, s3);
+      const uint64_t jz = word >> 11;
+      const size_t iz = word & 255u;
+      double e;
+      if (__builtin_expect(jz < kExpZig.ke[iz], 1)) {
+        e = static_cast<double>(jz) * kExpZig.we[iz];
+      } else {
+        state_[0] = s0; state_[1] = s1; state_[2] = s2; state_[3] = s3;
+        e = ExponentialZigguratSlow(word);
+        s0 = state_[0]; s1 = state_[1]; s2 = state_[2]; s3 = state_[3];
+      }
+      sink(i, rng_internal::SignedScale(word, scale) * e);
+    }
+    state_[0] = s0; state_[1] = s1; state_[2] = s2; state_[3] = s3;
+  }
+
+  /// Wedge/tail/retry continuation of the ziggurat, entered on ~2% of
   /// draws with the word that failed the fast test.
   double ExponentialZigguratSlow(uint64_t word);
 

@@ -1,8 +1,11 @@
 #include "rng/rng.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
+
+#include "bit_hash.h"
 
 namespace blowfish {
 namespace {
@@ -54,6 +57,78 @@ TEST(Rng, LaplaceVectorSize) {
   EXPECT_EQ(rng.LaplaceVector(17, 1.0).size(), 17u);
 }
 
+TEST(Rng, LaplaceStreamIsPinned) {
+  // FNV-1a over 1.1M Laplace draws, recorded while every draw went
+  // through one scalar Laplace() call: scalar draws, a LaplaceVector,
+  // then per-element scales added into a vector. The ziggurat's
+  // wedge/tail path takes ~2% of words, ~24,000 times here.
+  Rng rng(20151);
+  Vector all;
+  all.reserve(1100000);
+  for (size_t i = 0; i < 400000; ++i) all.push_back(rng.Laplace(1.5));
+  const std::vector<double> vec = rng.LaplaceVector(400000, 0.25);
+  all.insert(all.end(), vec.begin(), vec.end());
+  Vector mixed(300000);
+  for (size_t i = 0; i < mixed.size(); ++i) {
+    mixed[i] = static_cast<double>(i % 7);
+  }
+  rng.AddLaplace(mixed.data(), mixed.size(), [](size_t i) {
+    return 0.5 + static_cast<double>(i % 13);
+  });
+  all.insert(all.end(), mixed.begin(), mixed.end());
+  all.push_back(rng.Uniform());  // the generator state after the fill
+  EXPECT_EQ(HashBits(all), 0x95de7827176e36c4ull)
+      << "hash 0x" << std::hex << HashBits(all);
+}
+
+bool SameBits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(Rng, AddLaplaceMatchesScalarDraws) {
+  const auto per_element = [](size_t i) {
+    return 0.125 * static_cast<double>(1 + i % 29);
+  };
+  for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{4097}}) {
+    Vector start(n);
+    for (size_t i = 0; i < n; ++i) {
+      // Signed zeros in the input: both paths must add into them alike.
+      start[i] = i % 3 == 0 ? -0.0 : static_cast<double>(i % 5) - 2.0;
+    }
+    for (bool constant : {true, false}) {
+      Rng kernel(n + 17), scalar(n + 17);
+      Vector got = start, want = start;
+      Vector got_side, want_side;
+      got_side.push_back(kernel.Uniform());
+      want_side.push_back(scalar.Uniform());
+      if (constant) {
+        kernel.AddLaplace(got.data(), n, 3.0);
+        for (double& v : want) v += scalar.Laplace(3.0);
+      } else {
+        kernel.AddLaplace(got.data(), n, per_element);
+        for (size_t i = 0; i < n; ++i) {
+          want[i] += scalar.Laplace(per_element(i));
+        }
+      }
+      got_side.push_back(kernel.Laplace(2.0));
+      want_side.push_back(scalar.Laplace(2.0));
+      got_side.push_back(kernel.Uniform());
+      want_side.push_back(scalar.Uniform());
+      EXPECT_TRUE(SameBits(got, want)) << "n " << n << " constant " << constant;
+      EXPECT_TRUE(SameBits(got_side, want_side))
+          << "n " << n << " constant " << constant;
+    }
+    // LaplaceVector writes its draws (no add into zeros).
+    Rng vec_rng(n), scalar(n);
+    Vector want(n);
+    for (double& v : want) v = scalar.Laplace(0.75);
+    EXPECT_TRUE(SameBits(vec_rng.LaplaceVector(n, 0.75), want)) << "n " << n;
+    EXPECT_EQ(vec_rng(), scalar()) << "n " << n;
+  }
+}
+
 TEST(Rng, CategoricalRespectsWeights) {
   Rng rng(99);
   std::vector<double> weights{0.0, 3.0, 1.0};
@@ -80,6 +155,15 @@ TEST(RngDeath, NonPositiveScaleRejected) {
   Rng rng(1);
   EXPECT_DEATH(rng.Laplace(0.0), "CHECK failed");
   EXPECT_DEATH(rng.Exponential(-1.0), "CHECK failed");
+}
+
+TEST(RngDeath, NonPositiveFillScaleRejected) {
+  Rng rng(1);
+  Vector v(8, 0.0);
+  EXPECT_DEATH(rng.AddLaplace(v.data(), v.size(), -1.0), "CHECK failed");
+  EXPECT_DEATH(rng.AddLaplace(v.data(), v.size(),
+                              [](size_t i) { return i == 5 ? 0.0 : 1.0; }),
+               "CHECK failed");
 }
 
 }  // namespace

@@ -23,7 +23,9 @@ Rules
                       (e.g. sensitivity / epsilon) is intrinsic to the
                       mechanism's guarantee and is not flagged.
   charge-before-noise In src/engine/, a function that constructs an `Rng`
-                      or draws from one must reach a Charge/Spend earlier
+                      or draws from one (any public sampler, Fork,
+                      engine() or the word call on a generator named
+                      `rng`) must reach a Charge/Spend earlier
                       in the same function, or carry an explicit
                       `dp-lint: allow(charge-before-noise) <reason>`
                       declaring itself a post-admission executor.
@@ -370,10 +372,16 @@ def segment_functions(sf: SourceFile) -> List[Tuple[str, int, int]]:
 CHARGE_SITE = re.compile(
     r"(?:\.|->)(?:Charge|Spend(?:Tagged|Parallel)?)\s*\(|"
     r"\bAdmit(?:Stream)?\s*\(")
+# A construction, or a call of any public Rng sampler on a generator
+# named `rng`: the samplers (Laplace, LaplaceVector, AddLaplace, Normal,
+# Exponential, Uniform, UniformInt, Categorical), Fork (a child stream
+# drawn from the parent's words), engine() (the raw word source behind
+# std::shuffle) and the word call itself, as `(*rng)()` or `rng()`.
 RNG_SITE = re.compile(
     r"\bRng\s+\w+\s*[({]|"
-    r"\brng\s*(?:\.|->)\s*(?:Laplace|Normal|Gaussian|Uniform\w*|"
-    r"Next\w*|Exponential)\s*\(")
+    r"\brng\s*(?:\.|->)\s*(?:\w*Laplace\w*|Normal|Gaussian|Uniform\w*|"
+    r"Next\w*|Exponential|Categorical|Fork|engine)\s*\(|"
+    r"\(\s*\*\s*rng\s*\)\s*\(|\brng\s*\(\s*\)")
 
 
 def check_charge_before_noise(sf: SourceFile, out: List[Violation]) -> None:
@@ -583,7 +591,8 @@ def run_self_test() -> int:
         else:
             print(f"SKIP  {fn} (name must end _bad/_good)")
             continue
-        rule = re.sub(r"_exempt$", "", rule).replace("_", "-")
+        # `<rule>__<variant>_{bad,good}` adds more fixtures per rule.
+        rule = re.sub(r"(?:__\w+|_exempt)$", "", rule).replace("_", "-")
         violations = lint_file(os.path.join(fixture_dir, fn))
         fired = [v for v in violations if v.rule == rule]
         others = [v for v in violations if v.rule != rule]
