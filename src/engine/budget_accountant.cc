@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <utility>
 
 #include "engine/record_file.h"
@@ -92,12 +93,20 @@ void BudgetAccountant::RetireBurn(Slot* slot) {
       alert.fired = false;
       alert.wall_micros = BurnClockMicros(burn_config_);
       alert.ledger_id = slot->id;
-      alert.remaining =
-          slot->budget.has_value() ? slot->budget->remaining() : 0.0;
+      alert.remaining = slot->balance->remaining();
       burn_alerts_->Push(std::move(alert));
     }
   }
   slot->burn = BurnState{};
+}
+
+void BudgetAccountant::FreeSlot(Shard* shard, uint32_t slot_index) {
+  Slot& slot = shard->slots[slot_index];
+  RetireBurn(&slot);
+  slot.balance.reset();
+  slot.id.clear();
+  ++slot.generation;  // outstanding handles go stale
+  shard->free_slots.push_back(slot_index);
 }
 
 BudgetAccountant::Slot* BudgetAccountant::SlotFor(LedgerHandle handle) {
@@ -111,7 +120,7 @@ const BudgetAccountant::Slot* BudgetAccountant::SlotFor(
   const Shard& shard = shards_[handle.shard()];
   if (handle.slot() >= shard.slots.size()) return nullptr;
   const Slot& slot = shard.slots[handle.slot()];
-  if (!slot.budget.has_value() ||
+  if (!slot.balance.has_value() ||
       slot.generation != handle.generation()) {
     return nullptr;
   }
@@ -146,8 +155,11 @@ Result<LedgerHandle> BudgetAccountant::OpenLedger(const std::string& id,
     shard.slots.emplace_back();
   }
   Slot& slot = shard.slots[slot_index];
-  slot.budget.emplace(total_epsilon);
+  slot.balance.emplace(total_epsilon);
   slot.id = id;
+  // Under this shard lock no charge on `id` can push in between, so
+  // every event at or below the floor belongs to an earlier ledger.
+  slot.audit_floor = audit_log_ != nullptr ? audit_log_->total() : 0;
   // Re-opening an id the crash journal has a balance for: restore the
   // pre-crash spent total onto the fresh ledger before any charge can
   // see it. Consumed exactly once — the journal hands the balance out
@@ -155,16 +167,13 @@ Result<LedgerHandle> BudgetAccountant::OpenLedger(const std::string& id,
   if (journal_ != nullptr) {
     RecoveredLedger recovered;
     if (journal_->TakeRecovered(id, &recovered)) {
-      Status restored = slot.budget->RestoreSpent(recovered.spent);
+      Status restored = slot.balance->RestoreSpent(recovered.spent);
       if (!restored.ok()) {
         // The balance could not be applied — hand it back so a retried
         // OpenLedger fails the same way instead of silently succeeding
         // with a refilled budget, and checkpoints keep carrying it.
         journal_->ReturnRecovered(id, recovered);
-        slot.budget.reset();
-        slot.id.clear();
-        ++slot.generation;
-        shard.free_slots.push_back(slot_index);
+        FreeSlot(&shard, slot_index);
         return restored;
       }
     }
@@ -172,23 +181,6 @@ Result<LedgerHandle> BudgetAccountant::OpenLedger(const std::string& id,
   shard.by_id.emplace(id, slot_index);
   return LedgerHandle(static_cast<uint32_t>(shard_index), slot_index,
                       slot.generation);
-}
-
-Status BudgetAccountant::CloseLedger(const std::string& id) {
-  Shard& shard = shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.by_id.find(id);
-  if (it == shard.by_id.end()) {
-    return Status::NotFound("ledger '" + id + "' is not open");
-  }
-  Slot& slot = shard.slots[it->second];
-  RetireBurn(&slot);
-  slot.budget.reset();
-  slot.id.clear();
-  ++slot.generation;  // outstanding handles go stale
-  shard.free_slots.push_back(it->second);
-  shard.by_id.erase(it);
-  return Status::OK();
 }
 
 Status BudgetAccountant::CloseLedger(LedgerHandle handle) {
@@ -201,12 +193,8 @@ Status BudgetAccountant::CloseLedger(LedgerHandle handle) {
   if (slot == nullptr) {
     return Status::NotFound("ledger handle is stale");
   }
-  RetireBurn(slot);
   shard.by_id.erase(slot->id);
-  slot->budget.reset();
-  slot->id.clear();
-  ++slot->generation;
-  shard.free_slots.push_back(handle.slot());
+  FreeSlot(&shard, handle.slot());
   return Status::OK();
 }
 
@@ -218,12 +206,7 @@ size_t BudgetAccountant::CloseLedgersWithPrefix(const std::string& prefix) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.by_id.begin(); it != shard.by_id.end();) {
       if (it->first.compare(0, prefix.size(), prefix) == 0) {
-        Slot& slot = shard.slots[it->second];
-        RetireBurn(&slot);
-        slot.budget.reset();
-        slot.id.clear();
-        ++slot.generation;
-        shard.free_slots.push_back(it->second);
+        FreeSlot(&shard, it->second);
         it = shard.by_id.erase(it);
         ++removed;
       } else {
@@ -232,12 +215,6 @@ size_t BudgetAccountant::CloseLedgersWithPrefix(const std::string& prefix) {
     }
   }
   return removed;
-}
-
-bool BudgetAccountant::HasLedger(const std::string& id) const {
-  const Shard& shard = shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.by_id.count(id) > 0;
 }
 
 Result<LedgerHandle> BudgetAccountant::Resolve(const std::string& id) const {
@@ -298,7 +275,7 @@ Status BudgetAccountant::Charge(const LedgerHandle* handles, size_t count,
     for (size_t j = 0; j < i; ++j) {
       if (handles[j] == handles[i]) ++times;
     }
-    if (!slot->budget->CanSpend(static_cast<double>(times) * epsilon)) {
+    if (!slot->balance->CanSpend(static_cast<double>(times) * epsilon)) {
       (void)AppendJournalCharge(handles, count, epsilon, tag,
                                 /*charged=*/false, StatusCode::kOutOfRange);
       RecordAudit(handles, count, epsilon, tag, /*charged=*/false,
@@ -307,9 +284,9 @@ Status BudgetAccountant::Charge(const LedgerHandle* handles, size_t count,
           "ledger '" + slot->id + "': budget exceeded by '" +
           std::string(tag.workload) +
           (tag.context != nullptr ? " on " + *tag.context : std::string()) +
-          "': spent " + std::to_string(slot->budget->spent()) + " + " +
+          "': spent " + std::to_string(slot->balance->spent()) + " + " +
           std::to_string(static_cast<double>(times) * epsilon) + " > " +
-          std::to_string(slot->budget->total()));
+          std::to_string(slot->balance->total()));
     }
   }
   // Write-ahead barrier: the spend record must be durable before the
@@ -333,10 +310,9 @@ Status BudgetAccountant::Charge(const LedgerHandle* handles, size_t count,
     // Validated above under the same (still-held) shard locks, so the
     // slot cannot have gone stale between the two loops.
     BF_DCHECK(slot != nullptr);
-    slot->budget
-        ->SpendTagged(epsilon, tag.workload, tag.context, tag.parallel_count)
-        .Check();
-    const double balance = slot->budget->remaining();
+    const bool committed = slot->balance->Spend(epsilon);
+    BF_CHECK(committed);
+    const double balance = slot->balance->remaining();
     if (remaining != nullptr) remaining[i] = balance;
     if (i < AuditEvent::kMaxLedgers) balances[i] = balance;
     // Burn-rate tracking rides the commit loop: same shard locks, so
@@ -377,20 +353,20 @@ Status BudgetAccountant::AppendJournalCharge(const LedgerHandle* handles,
     LedgerJournal::ChargeLine& line = lines[num_lines++];
     line.id = &slot->id;
     if (!charged) {
-      line.remaining = slot->budget->remaining();
+      line.remaining = slot->balance->remaining();
       continue;
     }
     // Prospective post-charge balance, computed by replaying the chain
     // of spends the commit loop is about to perform on this ledger (a
     // handle repeated n times composes sequentially). Same doubles in
-    // the same order as SpendTagged's `spent += ε`, so the journaled
-    // balance is bit-identical to what the ledger will hold — and to
-    // what recovery replays.
-    double prospective = slot->budget->spent();
+    // the same order as LedgerBalance::Spend's `spent += ε`, so the
+    // journaled balance is bit-identical to what the ledger will hold —
+    // and to what recovery replays.
+    double prospective = slot->balance->spent();
     for (size_t j = 0; j <= i; ++j) {
       if (handles[j] == handles[i]) prospective += epsilon;
     }
-    line.remaining = slot->budget->total() - prospective;
+    line.remaining = slot->balance->total() - prospective;
   }
   return journal_->AppendCharge(charged, refusal, epsilon, tag.parallel_count,
                                 tag.workload, tag.context.get(), lines,
@@ -412,7 +388,7 @@ Status BudgetAccountant::WriteCheckpoint() {
     for (const auto& [id, slot_index] : shard.by_id) {
       const Slot& slot = shard.slots[slot_index];
       snapshot.push_back(JournalRecord::CheckpointLine{
-          id, slot.budget->total(), slot.budget->spent()});
+          id, slot.balance->total(), slot.balance->spent()});
     }
   }
   return journal_->Checkpoint(snapshot);
@@ -437,7 +413,7 @@ void BudgetAccountant::RecordAudit(const LedgerHandle* handles, size_t count,
     AuditEvent::LedgerLine& line = event.ledgers[event.num_ledgers++];
     line.id = slot->id;
     line.remaining =
-        balances != nullptr ? balances[i] : slot->budget->remaining();
+        balances != nullptr ? balances[i] : slot->balance->remaining();
   }
   audit_log_->Push(std::move(event));
 }
@@ -468,7 +444,7 @@ Result<double> BudgetAccountant::Remaining(const std::string& id) const {
   if (it == shard.by_id.end()) {
     return Status::NotFound("ledger '" + id + "' is not open");
   }
-  return shard.slots[it->second].budget->remaining();
+  return shard.slots[it->second].balance->remaining();
 }
 
 Result<double> BudgetAccountant::Remaining(LedgerHandle handle) const {
@@ -481,7 +457,7 @@ Result<double> BudgetAccountant::Remaining(LedgerHandle handle) const {
   if (slot == nullptr) {
     return Status::NotFound("ledger handle is stale");
   }
-  return slot->budget->remaining();
+  return slot->balance->remaining();
 }
 
 Result<double> BudgetAccountant::Spent(const std::string& id) const {
@@ -491,7 +467,7 @@ Result<double> BudgetAccountant::Spent(const std::string& id) const {
   if (it == shard.by_id.end()) {
     return Status::NotFound("ledger '" + id + "' is not open");
   }
-  return shard.slots[it->second].budget->spent();
+  return shard.slots[it->second].balance->spent();
 }
 
 Result<std::string> BudgetAccountant::Audit(const std::string& id) const {
@@ -501,7 +477,36 @@ Result<std::string> BudgetAccountant::Audit(const std::string& id) const {
   if (it == shard.by_id.end()) {
     return Status::NotFound("ledger '" + id + "' is not open");
   }
-  return shard.slots[it->second].budget->ToString();
+  const Slot& slot = shard.slots[it->second];
+  // Charges on `id` push their events under this shard lock, so the
+  // ring's events for it are complete and in spend order here. A
+  // handle named n times in one charge is n spends, one line each.
+  std::ostringstream spends;
+  uint64_t listed = 0;
+  for (const AuditEvent& event : audit_log_ != nullptr
+                                     ? audit_log_->Snapshot()
+                                     : std::vector<AuditEvent>()) {
+    if (!event.charged || event.seq <= slot.audit_floor) continue;
+    for (size_t i = 0; i < event.num_ledgers; ++i) {
+      if (event.ledgers[i].id != id) continue;
+      ++listed;
+      spends << "\n  " << event.epsilon << "  " << event.workload;
+      if (event.context != nullptr) spends << " on " << *event.context;
+      if (event.parallel_count > 1) {
+        spends << " (parallel x" << event.parallel_count << ")";
+      }
+    }
+  }
+  const LedgerBalance& balance = *slot.balance;
+  std::ostringstream out;
+  out << "budget " << balance.total() << ", spent " << balance.spent() << ":";
+  if (listed < balance.spends()) {
+    out << "\n  (" << balance.spends() - listed
+        << " spend(s) not in the audit ring"
+        << (journal_ != nullptr ? "; the journal keeps them)" : ")");
+  }
+  out << spends.str();
+  return out.str();
 }
 
 }  // namespace blowfish

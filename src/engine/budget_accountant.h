@@ -1,10 +1,13 @@
-// Multi-ledger budget accounting for the serving layer. Builds on
-// PrivacyBudget (mech/budget.h), which gives one auditable
-// sequential-composition ledger; the accountant keys many of them and
-// adds the two properties a concurrent engine needs: an
+// Multi-ledger budget accounting for the serving layer. Each ledger is
+// a LedgerBalance (mech/budget.h): cap, spent total and spend count,
+// admitted by the one slack rule PrivacyBudget also uses, and constant
+// in size however long the engine serves. The accountant keys many of
+// them and adds the two properties a concurrent engine needs: an
 // all-or-nothing Charge() across several ledgers at once, and enough
 // internal sharding that unrelated sessions never contend on one
-// mutex.
+// mutex. A ledger's per-spend history lives in the attached ε-audit
+// ring (bounded; Audit() reads it) and the write-ahead journal
+// (durable), not in the ledger.
 //
 // A release in the engine draws from two ledgers simultaneously — the
 // per-policy cap (the data owner's total ε across every session) and
@@ -88,13 +91,12 @@ class LedgerHandle {
   uint64_t bits_ = 0;  ///< 0 = invalid
 };
 
-/// \brief Structured description of one charge, recorded on the audit
-/// trail without building a per-charge label string. `workload` is the
-/// short per-request part (copied into the entry; short names stay in
-/// SSO storage); `context` is the shared per-(policy, plan) suffix
-/// (one refcount bump). `parallel_count > 1` declares the charge a
-/// parallel-composition spend covering that many disjoint-domain
-/// releases at max-ε cost.
+/// \brief Structured description of one charge, recorded in the audit
+/// event and the journal record without building a per-charge label
+/// string. `workload` is the short per-request part (short names stay
+/// in SSO storage); `context` is the shared per-(policy, plan) suffix.
+/// `parallel_count > 1` declares the charge a parallel-composition
+/// spend covering that many disjoint-domain releases at max-ε cost.
 struct ChargeTag {
   std::string_view workload;
   std::shared_ptr<const std::string> context;
@@ -120,8 +122,8 @@ struct BurnRateConfig {
   std::function<int64_t()> now_micros;
 };
 
-/// \brief Thread-safe, sharded registry of PrivacyBudget ledgers with
-/// atomic multi-ledger spends.
+/// \brief Thread-safe, sharded registry of ledger balances with atomic
+/// multi-ledger spends.
 class BudgetAccountant {
  public:
   /// Power of two; shard = id-hash & (kShardCount - 1).
@@ -135,17 +137,14 @@ class BudgetAccountant {
   Result<LedgerHandle> OpenLedger(const std::string& id,
                                   double total_epsilon);
 
-  /// Removes a ledger (its audit trail is discarded); kNotFound if
-  /// absent. Outstanding handles to it become stale.
-  Status CloseLedger(const std::string& id);
+  /// Removes a ledger; kNotFound if stale. Outstanding handles go
+  /// stale; a reopened id audits none of the closed ledger's spends.
   Status CloseLedger(LedgerHandle handle);
 
   /// Removes every ledger whose id starts with `prefix` (versioned
   /// policy ledgers on unregister), scanning all shards. Returns the
   /// number closed.
   size_t CloseLedgersWithPrefix(const std::string& prefix);
-
-  bool HasLedger(const std::string& id) const;
 
   /// The current handle for an open ledger; kNotFound if absent.
   Result<LedgerHandle> Resolve(const std::string& id) const;
@@ -178,7 +177,9 @@ class BudgetAccountant {
   /// Total spent ε; kNotFound if absent.
   Result<double> Spent(const std::string& id) const;
 
-  /// The ledger's human-readable audit trail; kNotFound if absent.
+  /// The ledger's human-readable audit trail; kNotFound if absent: the
+  /// balance, then one line per spend of this ledger still in the
+  /// audit ring. Spends not in it (wrapped, off, restored) are counted.
   Result<std::string> Audit(const std::string& id) const;
 
   /// Attaches the engine's ε-audit event ring (not owned; the engine
@@ -186,8 +187,10 @@ class BudgetAccountant {
   /// spend event per successful charge and one refusal event per
   /// budget/stale refusal *while still holding the involved shard
   /// locks* — so the log's per-ledger event order is exactly each
-  /// ledger's spend order, and replaying `spent += ε` over a ledger's
-  /// events reproduces its balance bit-for-bit. Null detaches.
+  /// ledger's spend order, replaying `spent += ε` over a ledger's
+  /// events reproduces its balance bit-for-bit, and Audit() can list
+  /// them. Call before OpenLedger (each ledger reads the ring's total
+  /// when it opens). Null detaches.
   void SetAuditLog(BoundedRing<AuditEvent>* log) { audit_log_ = log; }
 
   /// Attaches the crash-safe spend journal (not owned; the engine
@@ -262,10 +265,11 @@ class BudgetAccountant {
   };
 
   struct Slot {
-    std::optional<PrivacyBudget> budget;  ///< nullopt = closed/free
-    uint32_t generation = 1;              ///< bumped on every close
-    std::string id;                       ///< for audits and refusals
-    BurnState burn;                       ///< reset on close
+    std::optional<LedgerBalance> balance;  ///< nullopt = closed/free
+    uint32_t generation = 1;               ///< bumped on every close
+    std::string id;                        ///< for audits and refusals
+    uint64_t audit_floor = 0;  ///< audit ring's total() at OpenLedger
+    BurnState burn;            ///< reset on close
   };
   struct Shard {
     mutable std::mutex mu;
@@ -317,6 +321,9 @@ class BudgetAccountant {
   /// state (so the active count never leaks) and resets its burn
   /// state. Caller holds the slot's shard lock.
   void RetireBurn(Slot* slot) NO_THREAD_SAFETY_ANALYSIS;
+
+  /// Closes, stales and frees the slot; the caller erases its `by_id`.
+  void FreeSlot(Shard* shard, uint32_t slot_index) REQUIRES(shard->mu);
 
   Shard shards_[kShardCount];
   BoundedRing<AuditEvent>* audit_log_ = nullptr;

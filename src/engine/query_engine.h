@@ -409,7 +409,9 @@ class QueryEngine {
 
   Result<double> SessionRemaining(const std::string& session_id) const;
   Result<double> PolicyRemaining(const std::string& name) const;
-  /// Human-readable per-session spend ledger.
+  /// Human-readable per-session spend ledger: the balance, then the
+  /// session's spends still in the ε-audit ring (bounded by
+  /// EngineOptions::audit_log_capacity; older ones are only counted).
   Result<std::string> SessionAudit(const std::string& session_id) const;
 
   /// True when submitting `request` now would run no expensive cold

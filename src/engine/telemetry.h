@@ -31,7 +31,7 @@
 //                      shard locks, so the ring's per-ledger event
 //                      order *is* each ledger's spend order: replaying
 //                      `spent += ε` over a ledger's events in seq order
-//                      reproduces its PrivacyBudget balance bit-for-bit
+//                      reproduces its ledger balance bit-for-bit
 //                      (the reconciliation engine_telemetry_test pins,
 //                      and the property a durable-state ledger replay
 //                      needs). Events carry the post-charge balances,

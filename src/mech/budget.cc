@@ -8,77 +8,60 @@
 
 namespace blowfish {
 
-PrivacyBudget::PrivacyBudget(double total_epsilon) : total_(total_epsilon) {
+LedgerBalance::LedgerBalance(double total_epsilon) : total_(total_epsilon) {
   BF_CHECK_GT(total_epsilon, 0.0);
 }
 
-bool PrivacyBudget::CanSpend(double epsilon) const {
+bool LedgerBalance::CanSpend(double epsilon) const {
   if (epsilon <= 0.0) return false;
   // Tolerance for floating-point budget arithmetic: splits like ε/3
   // accumulate one ulp-scale rounding per committed spend, so the
-  // slack is a few ulps of the running sum per ledger entry. It must
-  // NOT scale multiplicatively with the cap alone (a 1e9 cap with a
-  // relative 1e-9 slack would admit ~1 full unit of ε past the
+  // slack is a few ulps of the running sum per committed spend. It
+  // must NOT scale multiplicatively with the cap alone (a 1e9 cap with
+  // a relative 1e-9 slack would admit ~1 full unit of ε past the
   // bound); ulp-proportional slack stays negligible at every scale.
   const double scale = std::max(total_, spent_ + epsilon);
-  const double slack = 4.0 * static_cast<double>(ledger_.size() + 1) *
+  const double slack = 4.0 * static_cast<double>(spends_ + 1) *
                        std::numeric_limits<double>::epsilon() * scale;
   return spent_ + epsilon <= total_ + slack;
 }
 
-Status PrivacyBudget::Spend(double epsilon, const std::string& label) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("spend must be positive: " + label);
-  }
-  if (!CanSpend(epsilon)) {
-    return Status::InvalidArgument(
-        "budget exceeded by '" + label + "': spent " +
-        std::to_string(spent_) + " + " + std::to_string(epsilon) + " > " +
-        std::to_string(total_));
-  }
+bool LedgerBalance::Spend(double epsilon) {
+  if (!CanSpend(epsilon)) return false;
   spent_ += epsilon;
-  ledger_.push_back(Entry{epsilon, label, nullptr, 1});
-  return Status::OK();
+  ++spends_;
+  return true;
 }
 
-Status PrivacyBudget::SpendTagged(double epsilon, std::string_view workload,
-                                  std::shared_ptr<const std::string> context,
-                                  uint32_t parallel_count) {
-  if (parallel_count == 0) {
-    return Status::InvalidArgument("parallel spend needs >= 1 release");
-  }
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("spend must be positive: " +
-                                   std::string(workload));
-  }
-  if (!CanSpend(epsilon)) {
-    return Status::InvalidArgument(
-        "budget exceeded by '" + std::string(workload) + "': spent " +
-        std::to_string(spent_) + " + " + std::to_string(epsilon) + " > " +
-        std::to_string(total_));
-  }
-  spent_ += epsilon;
-  ledger_.push_back(
-      Entry{epsilon, std::string(workload), std::move(context),
-            parallel_count});
-  return Status::OK();
-}
-
-Status PrivacyBudget::RestoreSpent(double spent_epsilon) {
+Status LedgerBalance::RestoreSpent(double spent_epsilon) {
   if (spent_epsilon < 0.0) {
     return Status::InvalidArgument("recovered spend must be >= 0");
   }
-  if (!ledger_.empty() || spent_ != 0.0) {
+  if (spends_ != 0) {
     return Status::InvalidArgument(
         "RestoreSpent needs a fresh ledger; this one already recorded " +
-        std::to_string(ledger_.size()) + " spend(s)");
+        std::to_string(spends_) + " spend(s)");
   }
   if (spent_epsilon == 0.0) return Status::OK();
   // Assignment, not accumulation: the journal replay already performed
   // the ordered `spent += ε` chain, so copying its result preserves
   // bit-exactness with the pre-crash ledger.
   spent_ = spent_epsilon;
-  ledger_.push_back(Entry{spent_epsilon, "recovered-from-journal", nullptr, 1});
+  spends_ = 1;
+  return Status::OK();
+}
+
+Status PrivacyBudget::Spend(double epsilon, const std::string& label) {
+  if (epsilon <= 0.0) {
+    return Status::InvalidArgument("spend must be positive: " + label);
+  }
+  if (!balance_.Spend(epsilon)) {
+    return Status::InvalidArgument(
+        "budget exceeded by '" + label + "': spent " +
+        std::to_string(spent()) + " + " + std::to_string(epsilon) + " > " +
+        std::to_string(total()));
+  }
+  ledger_.push_back(Entry{epsilon, label});
   return Status::OK();
 }
 
@@ -93,12 +76,8 @@ Status PrivacyBudget::SpendParallel(double epsilon, size_t count,
 
 std::string PrivacyBudget::ToString() const {
   std::ostringstream out;
-  out << "budget " << total_ << ", spent " << spent_ << ":";
-  for (const Entry& e : ledger_) {
-    out << "\n  " << e.epsilon << "  " << e.label;
-    if (e.context != nullptr) out << " on " << *e.context;
-    if (e.parallel_count > 1) out << " (parallel x" << e.parallel_count << ")";
-  }
+  out << "budget " << total() << ", spent " << spent() << ":";
+  for (const Entry& e : ledger_) out << "\n  " << e.epsilon << "  " << e.label;
   return out.str();
 }
 

@@ -5,34 +5,68 @@
 //   parallel:   releases on disjoint sub-domains share one ε
 //               (one neighbor step touches one part).
 //
-// PrivacyBudget makes the accounting auditable: mechanisms that split
-// budget (DAWA's two stages, the Theorem 5.6 slab systems, Lemma 4.5's
-// stretch division) can record their spends, and tests can assert the
-// ledger matches the claimed guarantee.
+// LedgerBalance holds one ledger's balance and decides admission; the
+// engine's BudgetAccountant keeps one per ledger. PrivacyBudget makes
+// the accounting auditable: mechanisms that split budget (DAWA's two
+// stages, the Theorem 5.6 slab systems, Lemma 4.5's stretch division)
+// can record their spends, and tests can assert the ledger matches the
+// claimed guarantee.
 
 #ifndef BLOWFISH_MECH_BUDGET_H_
 #define BLOWFISH_MECH_BUDGET_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 
 namespace blowfish {
 
-/// \brief A sequential-composition ledger for one privacy budget.
-class PrivacyBudget {
+/// \brief One sequential-composition ledger's cap, spent ε and spend
+/// count — constant size, no per-spend history.
+class LedgerBalance {
  public:
-  explicit PrivacyBudget(double total_epsilon);
+  explicit LedgerBalance(double total_epsilon);
 
   /// True if a sequential spend of `epsilon` would be accepted. The
   /// single authority on the slack arithmetic; Spend() commits exactly
   /// when this holds. Callers coordinating several ledgers (the
   /// engine's BudgetAccountant) probe with this before committing.
   bool CanSpend(double epsilon) const;
+
+  /// Commits a sequential spend iff CanSpend(epsilon); returns whether
+  /// it did (a refusal has no side effects).
+  bool Spend(double epsilon);
+
+  /// Journal-replay restore: sets the spent total to exactly
+  /// `spent_epsilon` (bit-for-bit the value the write-ahead journal
+  /// replayed to), counted as one spend. Unlike Spend this may leave
+  /// the ledger exhausted past its cap — a journal that outlived a cap
+  /// reduction must still pin every recorded spend, so recovery never
+  /// refills a budget. Only meaningful on a fresh ledger (no prior
+  /// spends); fails with kInvalidArgument otherwise or when
+  /// `spent_epsilon` is negative.
+  Status RestoreSpent(double spent_epsilon);
+
+  double total() const { return total_; }
+  double spent() const { return spent_; }
+  double remaining() const { return total_ - spent_; }
+  /// Committed spends, a restore included.
+  uint64_t spends() const { return spends_; }
+
+ private:
+  double total_;
+  double spent_ = 0.0;
+  uint64_t spends_ = 0;
+};
+
+/// \brief A LedgerBalance plus one labelled entry per spend.
+class PrivacyBudget {
+ public:
+  explicit PrivacyBudget(double total_epsilon) : balance_(total_epsilon) {}
+
+  bool CanSpend(double epsilon) const { return balance_.CanSpend(epsilon); }
 
   /// Records a sequential spend; fails without side effects if it
   /// would exceed the total.
@@ -43,49 +77,22 @@ class PrivacyBudget {
   Status SpendParallel(double epsilon, size_t count,
                        const std::string& label);
 
-  /// A spend recorded without building a per-spend label string. The
-  /// hot serving path charges thousands of times per second against
-  /// the same (policy, plan) pair; `context` is that pair's shared
-  /// preformatted description (one refcount bump to record, never
-  /// copied), and only the per-request part — the short workload
-  /// name — is copied into the entry. `parallel_count > 1` marks the
-  /// entry as one parallel-composition charge covering that many
-  /// disjoint-domain releases.
-  Status SpendTagged(double epsilon, std::string_view workload,
-                     std::shared_ptr<const std::string> context,
-                     uint32_t parallel_count = 1);
-
-  /// Journal-replay restore: sets the spent total to exactly
-  /// `spent_epsilon` (bit-for-bit the value the write-ahead journal
-  /// replayed to) as a single "recovered" ledger entry. Unlike Spend
-  /// this may leave the ledger exhausted past its cap — a journal that
-  /// outlived a cap reduction must still pin every recorded spend, so
-  /// recovery never refills a budget. Only meaningful on a fresh
-  /// ledger (no prior spends); fails with kInvalidArgument otherwise
-  /// or when `spent_epsilon` is negative.
-  Status RestoreSpent(double spent_epsilon);
-
-  double total() const { return total_; }
-  double spent() const { return spent_; }
-  double remaining() const { return total_ - spent_; }
+  double total() const { return balance_.total(); }
+  double spent() const { return balance_.spent(); }
+  double remaining() const { return balance_.remaining(); }
 
   struct Entry {
     double epsilon;
     std::string label;
-    /// Shared suffix for tagged entries (null for plain spends); the
-    /// audit line is `label + " on " + *context`.
-    std::shared_ptr<const std::string> context;
-    /// >1 marks a parallel-composition charge over that many releases.
-    uint32_t parallel_count = 1;
   };
+  /// One entry per spend, so ledger().size() == the balance's spends().
   const std::vector<Entry>& ledger() const { return ledger_; }
 
   /// Human-readable audit trail.
   std::string ToString() const;
 
  private:
-  double total_;
-  double spent_ = 0.0;
+  LedgerBalance balance_;
   std::vector<Entry> ledger_;
 };
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "engine/query_engine.h"
 #include "workload/builders.h"
 
@@ -505,6 +508,68 @@ TEST_F(QueryEngineTest, AuditTrailNamesWorkloadPolicyAndPlan) {
   EXPECT_NE(audit.find("I_16"), std::string::npos);
   EXPECT_NE(audit.find("salaries"), std::string::npos);
   EXPECT_NE(audit.find("tree-transform"), std::string::npos);
+}
+
+TEST_F(QueryEngineTest, ReopenedSessionAuditsOnlyItsOwnCharges) {
+  ASSERT_TRUE(engine_.OpenSession("alice", 10.0).ok());
+  ASSERT_TRUE(engine_.Submit(Request("alice", "locations", 2.0)).ok());
+  ASSERT_TRUE(engine_.CloseSession("alice").ok());
+  ASSERT_TRUE(engine_.OpenSession("alice", 5.0).ok());
+  ASSERT_TRUE(engine_.Submit(Request("alice", "classic-dp", 1.0)).ok());
+  // The first incarnation's spend is still in the audit ring, but it
+  // is not this ledger's.
+  const std::string audit = engine_.SessionAudit("alice").ValueOrDie();
+  EXPECT_EQ(audit.rfind("budget 5, spent 1:", 0), 0u) << audit;
+  EXPECT_NE(audit.find("classic-dp"), std::string::npos) << audit;
+  EXPECT_EQ(audit.find("locations"), std::string::npos) << audit;
+  EXPECT_EQ(audit.find("not in the audit ring"), std::string::npos) << audit;
+}
+
+// A small engine with one line policy and a session "alice" holding
+// `session_budget`, its audit ring sized `audit_capacity`.
+std::unique_ptr<QueryEngine> AuditRingEngine(size_t audit_capacity,
+                                             double session_budget) {
+  EngineOptions options;
+  options.audit_log_capacity = audit_capacity;
+  auto engine = std::make_unique<QueryEngine>(options);
+  engine->RegisterPolicy("salaries", LinePolicy(16), Ramp(16), 100.0).Check();
+  engine->OpenSession("alice", session_budget).Check();
+  return engine;
+}
+
+QueryRequest LineRequest(double epsilon) {
+  QueryRequest request;
+  request.session = "alice";
+  request.policy = "salaries";
+  request.workload = IdentityWorkload(16);
+  request.epsilon = epsilon;
+  return request;
+}
+
+TEST(SessionAudit, SpendsThatLeftTheRingAreCounted) {
+  auto engine = AuditRingEngine(/*audit_capacity=*/16, 100.0);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(engine->Submit(LineRequest(0.5)).ok()) << i;
+  }
+  const std::string audit = engine->SessionAudit("alice").ValueOrDie();
+  EXPECT_EQ(audit.rfind("budget 100, spent 10:", 0), 0u) << audit;
+  EXPECT_NE(audit.find("\n  (4 spend(s) not in the audit ring)"),
+            std::string::npos)
+      << audit;
+  // One listed line per spend the 16-event ring still holds.
+  size_t listed = 0;
+  for (size_t at = audit.find("\n  0.5  I_16 on "); at != std::string::npos;
+       at = audit.find("\n  0.5  I_16 on ", at + 1)) {
+    ++listed;
+  }
+  EXPECT_EQ(listed, 16u) << audit;
+}
+
+TEST(SessionAudit, DisabledRingStillReportsTheBalance) {
+  auto engine = AuditRingEngine(/*audit_capacity=*/0, 10.0);
+  ASSERT_TRUE(engine->Submit(LineRequest(1.0)).ok());
+  EXPECT_EQ(engine->SessionAudit("alice").ValueOrDie(),
+            "budget 10, spent 1:\n  (1 spend(s) not in the audit ring)");
 }
 
 TEST_F(QueryEngineTest, MetadataAccessor) {
